@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/par"
 	"repro/internal/sig"
 )
 
@@ -104,22 +105,39 @@ func (a *ADC) Quantize(v float64) float64 {
 
 // Analog runs the analog front end at the given instants — aperture jitter,
 // gain, offset, input-referred noise — without quantization, writing the
-// held voltages into out (len(out) must be >= len(times)). It consumes the
-// converter's random streams in index order, so successive calls must cover
-// ascending, non-overlapping index ranges on one goroutine: this is the
-// producer stage of the streaming capture pipeline, which owns exactly that
-// ordering.
+// held voltages into out (len(out) must be >= len(times)). It runs in three
+// passes: every jitter and noise value is drawn serially in the converter's
+// interleaved stream order (jitter_i, then noise_i), the jittered instants
+// (staged in out) are evaluated across the par pool, and the noise is added
+// in index order. Each sample sees exactly the operations of a one-pass
+// serial loop, so the result is bit-identical at any worker count; x.At
+// must be safe for concurrent use (pure in t, as every sig.Signal in this
+// module is). Successive calls continue the random streams, so they must
+// not run concurrently on one converter.
 func (a *ADC) Analog(x sig.Signal, times, out []float64) {
+	n := len(times)
+	out = out[:n]
+	var noise []float64
+	if a.cfg.NoiseRMS > 0 {
+		noise = make([]float64, n)
+	}
 	for i, t := range times {
-		te := t
 		if a.cfg.JitterRMS > 0 {
-			te += a.cfg.JitterRMS * a.rng.NormFloat64()
+			t += a.cfg.JitterRMS * a.rng.NormFloat64()
 		}
-		v := a.cfg.Gain*x.At(te) + a.cfg.Offset
-		if a.cfg.NoiseRMS > 0 {
-			v += a.cfg.NoiseRMS * a.rng.NormFloat64()
+		out[i] = t
+		if noise != nil {
+			noise[i] = a.rng.NormFloat64()
 		}
-		out[i] = v
+	}
+	gain, offset := a.cfg.Gain, a.cfg.Offset
+	par.ForRanges(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = gain*x.At(out[i]) + offset
+		}
+	})
+	for i, v := range noise {
+		out[i] += a.cfg.NoiseRMS * v
 	}
 }
 

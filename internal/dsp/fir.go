@@ -80,24 +80,6 @@ func (f *FIR) Filter(x []float64) []float64 {
 	return out
 }
 
-// FilterComplex applies the real-tap filter independently to the real and
-// imaginary parts of x ("same" alignment as Filter).
-func (f *FIR) FilterComplex(x []complex128) []complex128 {
-	re := make([]float64, len(x))
-	im := make([]float64, len(x))
-	for i, v := range x {
-		re[i] = real(v)
-		im[i] = imag(v)
-	}
-	fr := f.Filter(re)
-	fi := f.Filter(im)
-	out := make([]complex128, len(x))
-	for i := range out {
-		out[i] = complex(fr[i], fi[i])
-	}
-	return out
-}
-
 // Response evaluates the filter's complex frequency response at the
 // normalised frequency nu (cycles/sample).
 func (f *FIR) Response(nu float64) complex128 {
@@ -121,15 +103,37 @@ func (f *FIR) MagnitudeDB(nu float64) float64 {
 }
 
 // Decimate lowpass-filters x and keeps every factor-th sample. The filter
-// must already be designed with an appropriate cutoff (< 0.5/factor).
+// must already be designed with an appropriate cutoff (< 0.5/factor). The
+// result equals Filter applied to the real and imaginary parts and then
+// strided, but only the kept outputs are computed: each is a direct FIR sum
+// accumulated in ascending input index — the order Convolve's direct path
+// uses, so where Convolve stays direct the two agree bit for bit.
 func (f *FIR) Decimate(x []complex128, factor int) []complex128 {
 	if factor < 1 {
 		panic("dsp: Decimate factor must be >= 1")
 	}
-	y := f.FilterComplex(x)
-	out := make([]complex128, 0, len(y)/factor+1)
-	for i := 0; i < len(y); i += factor {
-		out = append(out, y[i])
+	h := f.Taps
+	nh := len(h)
+	d := (nh - 1) / 2
+	out := make([]complex128, (len(x)+factor-1)/factor)
+	for m := range out {
+		// Filter's output n = m*factor is full-convolution index k = n+d:
+		// sum over x[i]*h[k-i] for every i with both indices in range.
+		k := m*factor + d
+		lo, hi := k-nh+1, k
+		if lo < 0 {
+			lo = 0
+		}
+		if hi > len(x)-1 {
+			hi = len(x) - 1
+		}
+		var re, im float64
+		for i := lo; i <= hi; i++ {
+			t := h[k-i]
+			re += real(x[i]) * t
+			im += imag(x[i]) * t
+		}
+		out[m] = complex(re, im)
 	}
 	return out
 }

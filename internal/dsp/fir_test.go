@@ -94,22 +94,60 @@ func TestFIRFilterDelayAlignment(t *testing.T) {
 	}
 }
 
-func TestFIRFilterComplexMatchesParts(t *testing.T) {
+// TestFIRDecimateMatchesFilteredParts checks the direct decimator against
+// its oracle at the envelope-grid geometry (91-tap anti-image filter, 4x
+// oversampling), where Filter takes Convolve's FFT path.
+func TestFIRDecimateMatchesFilteredParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	f, _ := DesignLowpass(31, 0.2, Hann, 0)
-	n := 200
-	x := make([]complex128, n)
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for i := range x {
-		re[i], im[i] = rng.NormFloat64(), rng.NormFloat64()
-		x[i] = complex(re[i], im[i])
+	f, err := DesignLowpass(91, 0.45/4, KaiserWin, KaiserBeta(70))
+	if err != nil {
+		t.Fatal(err)
 	}
-	y := f.FilterComplex(x)
-	yr, yi := f.Filter(re), f.Filter(im)
-	for i := range y {
-		if math.Abs(real(y[i])-yr[i]) > 1e-12 || math.Abs(imag(y[i])-yi[i]) > 1e-12 {
-			t.Fatalf("complex filter mismatch at %d", i)
+	x := make([]complex128, 4096)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	checkDecimateVsFilter(t, f, x, 4)
+}
+
+// checkDecimateVsFilter compares Decimate against its oracle: Filter on the
+// real and imaginary parts, then every factor-th sample. Where Convolve
+// takes its direct path the two must agree bit for bit (same products,
+// same ascending accumulation order); elsewhere within 1e-12 Σ|h| max|x|.
+func checkDecimateVsFilter(t *testing.T, f *FIR, x []complex128, factor int) {
+	t.Helper()
+	re := make([]float64, len(x))
+	im := make([]float64, len(x))
+	mx := 0.0
+	for i, v := range x {
+		re[i], im[i] = real(v), imag(v)
+		mx = math.Max(mx, math.Max(math.Abs(re[i]), math.Abs(im[i])))
+	}
+	fr, fi := f.Filter(re), f.Filter(im)
+	got := f.Decimate(x, factor)
+	if want := (len(x) + factor - 1) / factor; len(got) != want {
+		t.Fatalf("len %d, want %d (n=%d factor=%d)", len(got), want, len(x), factor)
+	}
+	tol := 0.0
+	if len(x)*f.Len() > 4096 {
+		sh := 0.0
+		for _, h := range f.Taps {
+			sh += math.Abs(h)
+		}
+		tol = 1e-12 * sh * mx
+	}
+	for m, v := range got {
+		wr, wi := fr[m*factor], fi[m*factor]
+		if tol == 0 {
+			if math.Float64bits(real(v)) != math.Float64bits(wr) || math.Float64bits(imag(v)) != math.Float64bits(wi) {
+				t.Fatalf("output %d: %v, want %v bit for bit (n=%d taps=%d factor=%d)",
+					m, v, complex(wr, wi), len(x), f.Len(), factor)
+			}
+			continue
+		}
+		if d := math.Max(math.Abs(real(v)-wr), math.Abs(imag(v)-wi)); d > tol {
+			t.Fatalf("output %d: %v, want %v (diff %g > %g, n=%d taps=%d factor=%d)",
+				m, v, complex(wr, wi), d, tol, len(x), f.Len(), factor)
 		}
 	}
 }

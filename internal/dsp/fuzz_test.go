@@ -48,10 +48,10 @@ func seedBytes(vals ...float64) []byte {
 // arbitrary inputs of arbitrary length, covering both the radix-2 and the
 // Bluestein path.
 func FuzzFFTRoundtrip(f *testing.F) {
-	f.Add(seedBytes(1, 0, -1, 0, 0.5, -0.25, 3, 3))                  // length 4: radix-2
-	f.Add(seedBytes(1, 2, 3, 4, 5, 6))                               // length 3: Bluestein
+	f.Add(seedBytes(1, 0, -1, 0, 0.5, -0.25, 3, 3))                 // length 4: radix-2
+	f.Add(seedBytes(1, 2, 3, 4, 5, 6))                              // length 3: Bluestein
 	f.Add(seedBytes(0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, -0.8, 1)) // length 4 + spare
-	f.Add(seedBytes(math.Inf(1), math.NaN(), 1e300, -1e-300))        // sanitizer path
+	f.Add(seedBytes(math.Inf(1), math.NaN(), 1e300, -1e-300))       // sanitizer path
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x := complexFromFloats(floatsFromBytes(data, 128))
 		if len(x) == 0 {
@@ -223,5 +223,38 @@ func FuzzFIRLinearity(f *testing.F) {
 					i, fm[i], want, d, tol, a, b, half)
 			}
 		}
+	})
+}
+
+// FuzzDecimateVsFilter checks the direct strided decimator against its
+// oracle (Filter on each part, then strided): bit-identical where Convolve
+// stays direct, within 1e-12 Σ|h| max|x| where it switches to the FFT.
+// The fuzzer picks the tap count (odd and even, 1..64), the factor (1..12)
+// and the input, which may be shorter than the filter.
+func FuzzDecimateVsFilter(f *testing.F) {
+	long := make([]float64, 600)
+	for i := range long {
+		long[i] = math.Sin(0.37*float64(i)) + 0.1*float64(i%7)
+	}
+	f.Add(uint8(2), uint8(0), seedBytes(1, -1, 0.5, 0.25, 2, 0, -3, 1))              // 3 taps, factor 1
+	f.Add(uint8(3), uint8(3), seedBytes(0.1, 0.2, 0.3, 0.4, 1, 2, 3, 4, 5, 6, 7, 8)) // 4 taps, factor 4
+	f.Add(uint8(40), uint8(11), seedBytes(1, 2, 3, 4, 5))                            // input shorter than filter
+	f.Add(uint8(62), uint8(6), seedBytes(long...))                                   // 63 taps, FFT path
+	f.Add(uint8(91), uint8(2), seedBytes(long[:200]...))                             // 28 taps, factor 3
+	f.Fuzz(func(t *testing.T, nTaps, factor uint8, data []byte) {
+		taps := 1 + int(nTaps)%64
+		fac := 1 + int(factor)%12
+		vals := floatsFromBytes(data, taps+2*320)
+		if len(vals) < 3 {
+			t.Skip()
+		}
+		// Taps cycle through the leading values when the input is short,
+		// so the filter can be longer than the signal.
+		fir := &FIR{Taps: make([]float64, taps)}
+		for j := range fir.Taps {
+			fir.Taps[j] = vals[j%len(vals)]
+		}
+		x := complexFromFloats(vals[min(taps, len(vals)-2):])
+		checkDecimateVsFilter(t, fir, x, fac)
 	})
 }

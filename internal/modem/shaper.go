@@ -3,6 +3,8 @@ package modem
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/par"
 )
 
 // ShapedEnvelope is the continuous complex envelope of a pulse-shaped symbol
@@ -76,6 +78,8 @@ func (s *ShapedEnvelope) Duration() float64 {
 
 // AvgPower estimates the mean envelope power E[|env|^2] by sampling nPts
 // instants across one symbol-stream period (or the burst for non-cyclic).
+// The probes run concurrently, so the pulse must be safe for concurrent
+// use (every Pulse in this package is pure in t).
 func (s *ShapedEnvelope) AvgPower(nPts int) float64 {
 	if nPts < 2 {
 		nPts = 256
@@ -89,10 +93,17 @@ func (s *ShapedEnvelope) AvgPower(nPts int) float64 {
 		t1 = t0 + s.Duration()
 	}
 	dt := (t1 - t0) / float64(nPts)
-	p := 0.0
-	for i := 0; i < nPts; i++ {
+	// The probes are independent, so they fan out over the par pool; the
+	// per-point powers are then summed serially in index order, which keeps
+	// the estimate bit-identical at any worker count.
+	pw := make([]float64, nPts)
+	par.For(nPts, func(i int) {
 		v := s.At(t0 + (float64(i)+0.5)*dt)
-		p += real(v)*real(v) + imag(v)*imag(v)
+		pw[i] = real(v)*real(v) + imag(v)*imag(v)
+	})
+	p := 0.0
+	for _, v := range pw {
+		p += v
 	}
 	return p / float64(nPts)
 }

@@ -32,12 +32,6 @@ var (
 	mForTasks  = obs.C("par.for.tasks")
 	mForInline = obs.C("par.for.inline")
 	mActive    = obs.G("par.workers.active")
-	// Stream instruments: pipeline activations and chunk hand-offs. These
-	// are deliberately separate counters from par.for.* so the curated
-	// deterministic metrics snapshot is unaffected by how a stage is
-	// chunked.
-	mStreamCalls  = obs.C("par.stream.calls")
-	mStreamChunks = obs.C("par.stream.chunks")
 )
 
 // workerOverride holds the SetWorkers value; 0 means "use the default".
@@ -436,67 +430,6 @@ func ForRangesCtx(tc trace.Ctx, n int, fn func(lo, hi int)) {
 	wg.Wait()
 	if panicV != nil {
 		panic(fmt.Sprintf("par: worker panic: %v", panicV))
-	}
-}
-
-// Stream drives a bounded two-stage pipeline over [0, n): produce(lo, hi)
-// runs on the calling goroutine in ascending index order — stage 1 keeps
-// ownership of any sequential state, such as an ADC jitter RNG stream —
-// and every completed chunk is handed through a channel of capacity depth
-// to a single consumer goroutine that runs consume(lo, hi) strictly in the
-// same order (stage 2). The two stages therefore overlap on chunk
-// boundaries while each stage still observes exactly the serial order, so
-// any computation whose per-index results are independent of chunking is
-// bit-identical to the barrier formulation at every (chunk, depth)
-// setting; that is the determinism contract the streaming tests pin.
-//
-// chunk <= 0 selects 256 items, depth <= 0 a two-chunk buffer. n <= 0 is a
-// no-op. Panics in either stage propagate to the caller after the pipeline
-// drains (the consumer never blocks the producer on failure).
-func Stream(n, chunk, depth int, produce, consume func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = 256
-	}
-	if depth <= 0 {
-		depth = 2
-	}
-	mStreamCalls.Inc()
-	ch := make(chan [2]int, depth)
-	done := make(chan struct{})
-	var consPanic any
-	go func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				consPanic = r
-				for range ch { // keep draining so the producer never blocks
-				}
-			}
-		}()
-		for rg := range ch {
-			consume(rg[0], rg[1])
-		}
-	}()
-	func() {
-		defer func() {
-			close(ch)
-			<-done
-		}()
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			produce(lo, hi)
-			mStreamChunks.Inc()
-			ch <- [2]int{lo, hi}
-		}
-	}()
-	if consPanic != nil {
-		panic(fmt.Sprintf("par: stream consumer panic: %v", consPanic))
 	}
 }
 

@@ -9,12 +9,18 @@ package sig
 import "math"
 
 // Signal is a real-valued continuous-time waveform.
+//
+// Concurrency contract: At must be a pure function of t and safe for
+// concurrent use. The acquisition (adc.ADC.Analog) and the measurement
+// paths evaluate one waveform from many par-pool goroutines at once and
+// rely on every call returning the same value it would serially.
 type Signal interface {
 	// At returns the instantaneous value at time t (seconds).
 	At(t float64) float64
 }
 
-// Envelope is a complex baseband (lowpass-equivalent) waveform.
+// Envelope is a complex baseband (lowpass-equivalent) waveform. Like
+// Signal, At must be pure in t and safe for concurrent use.
 type Envelope interface {
 	// At returns the complex envelope at time t (seconds).
 	At(t float64) complex128

@@ -284,8 +284,10 @@ type TB interface {
 const maxReported = 20
 
 // Golden canonically encodes v and compares it with the golden file at
-// path. With -update the file is (re)written instead. Missing goldens fail
-// with a regeneration hint.
+// path. With -update a missing or failing golden is (re)written instead; a
+// golden that already passes is left untouched, so an update re-pins only
+// the files whose values actually moved beyond their tolerance rules.
+// Missing goldens fail with a regeneration hint.
 func Golden(t TB, goldenPath string, v any, opt Options) {
 	t.Helper()
 	got, err := MarshalCanonical(v)
@@ -294,6 +296,12 @@ func Golden(t TB, goldenPath string, v any, opt Options) {
 		return
 	}
 	if *Update {
+		if want, err := os.ReadFile(goldenPath); err == nil {
+			if ms, err := CompareBytes(got, want, opt); err == nil && len(ms) == 0 {
+				t.Logf("testkit: %s passes, left unchanged", goldenPath)
+				return
+			}
+		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatalf("testkit: mkdir for %s: %v", goldenPath, err)
 			return

@@ -143,6 +143,46 @@ func (r *recorder) Logf(f string, a ...any) {
 	r.logs = append(r.logs, f)
 }
 
+// TestGoldenUpdateLeavesPassingFileUntouched: -update must not rewrite a
+// golden that already passes, even when in-tolerance leaves differ from the
+// fresh encoding — only a failing golden is re-pinned, and then whole.
+func TestGoldenUpdateLeavesPassingFileUntouched(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "case.json")
+	v := doc{A: 1.5, B: []float64{2, 3}, C: "pinned"}
+	old := *Update
+	defer func() { *Update = old }()
+	*Update = true
+	var rec recorder
+	Golden(&rec, p, v, DefaultOptions())
+	pinned, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// In-tolerance drift (1e-12 relative, under the 1e-9 default): the
+	// golden passes, so the file keeps its bytes.
+	drift := v
+	drift.A = 1.5 * (1 + 1e-12)
+	Golden(&rec, p, drift, DefaultOptions())
+	if after, _ := os.ReadFile(p); string(after) != string(pinned) {
+		t.Fatalf("-update rewrote a passing golden:\n%s\nvs\n%s", after, pinned)
+	}
+
+	// Out-of-tolerance drift: the golden fails, so -update re-pins it.
+	drift.A = 2.5
+	Golden(&rec, p, drift, DefaultOptions())
+	want, err := MarshalCanonical(drift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.ReadFile(p); string(after) != string(want) {
+		t.Fatalf("-update did not re-pin a failing golden: %s", after)
+	}
+	if len(rec.fatal)+len(rec.errs) != 0 {
+		t.Fatalf("update flow failed: %+v", rec)
+	}
+}
+
 func TestGoldenUpdateAndCompareCycle(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "sub", "case.json")

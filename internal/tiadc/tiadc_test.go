@@ -1,10 +1,12 @@
 package tiadc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/adc"
+	"repro/internal/par"
 	"repro/internal/sig"
 )
 
@@ -158,9 +160,10 @@ func TestChannelAccessor(t *testing.T) {
 	}
 }
 
-// streamTestConfig is a representative impaired two-channel setup for the
-// streaming-capture determinism tests.
-func streamTestConfig(chunk int) Config {
+// impairedConfig is a representative impaired two-channel setup: jittered,
+// noisy 10-bit converters with gain/offset mismatch, so both the random
+// streams and the int16 capture memory are exercised.
+func impairedConfig() Config {
 	return Config{
 		Ch0: adc.Config{Bits: 10, FullScale: 1.5, JitterRMS: 3e-12,
 			NoiseRMS: 1e-3, Seed: 11},
@@ -169,42 +172,59 @@ func streamTestConfig(chunk int) Config {
 		DCDE:           DCDE{Min: 0, Max: 1e-9, Bias: 0.4e-12},
 		ClockJitterRMS: 3e-12,
 		Seed:           7,
-		StreamChunk:    chunk,
 	}
 }
 
-func TestCaptureStreamChunkInvariance(t *testing.T) {
+// TestCaptureWorkerInvariance pins the acquisition's determinism contract:
+// the analog front end fans its signal evaluations over the par pool while
+// the jitter and noise streams are drawn serially, so every capture —
+// floats and packed codes, int16 and static-NL float paths alike — is
+// byte-identical at any worker count, including successive captures that
+// continue the converters' random streams.
+func TestCaptureWorkerInvariance(t *testing.T) {
+	nl, err := adc.NewRandomNL(10, 0.2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floatPath := impairedConfig()
+	floatPath.Ch1.NL = nl
 	tone := &sig.Tone{Amp: 1, Freq: 13e6}
-	var ref *Capture
-	for _, chunk := range []int{0, 1, 7, 64, 5000} {
-		ti, err := New(streamTestConfig(chunk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ti.Capture(tone, 1e-8, 180e-12, 1e-7, 900)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Raw0 == nil || c.Raw1 == nil {
-			t.Fatalf("chunk=%d: 10-bit capture must fill the int16 buffers", chunk)
-		}
-		if ref == nil {
-			ref = c
-			continue
-		}
-		for i := range c.Ch0 {
-			if c.Ch0[i] != ref.Ch0[i] || c.Ch1[i] != ref.Ch1[i] {
-				t.Fatalf("chunk=%d sample %d: floats differ from chunk=0 capture", chunk, i)
+	for name, cfg := range map[string]Config{"int16": impairedConfig(), "static-nl": floatPath} {
+		capture := func(workers int) []*Capture {
+			defer par.SetWorkers(par.SetWorkers(workers))
+			ti, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if c.Raw0[i] != ref.Raw0[i] || c.Raw1[i] != ref.Raw1[i] {
-				t.Fatalf("chunk=%d sample %d: raw codes differ from chunk=0 capture", chunk, i)
+			var out []*Capture
+			for k := 0; k < 2; k++ {
+				c, err := ti.Capture(tone, 1e-8, 180e-12, 1e-7, 900)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, c)
+			}
+			return out
+		}
+		ref := capture(1)
+		if ref[0].Raw0 == nil || (ref[0].Raw1 == nil) != (name == "static-nl") {
+			t.Fatalf("%s: unexpected capture memory layout (Raw0 %v, Raw1 %v)",
+				name, ref[0].Raw0 != nil, ref[0].Raw1 != nil)
+		}
+		for _, w := range []int{2, 8} {
+			for k, c := range capture(w) {
+				// %v prints every float at round-trip precision (signed
+				// zeros included), so equal text means equal bits.
+				if fmt.Sprint(*c) != fmt.Sprint(*ref[k]) {
+					t.Fatalf("%s capture %d: workers=%d differs from workers=1", name, k, w)
+				}
 			}
 		}
 	}
 }
 
 func TestCaptureRawDecodesToFloats(t *testing.T) {
-	ti, err := New(streamTestConfig(32))
+	ti, err := New(impairedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +246,10 @@ func TestCaptureRawDecodesToFloats(t *testing.T) {
 }
 
 func TestCaptureStreamMatchesDirectSampleOracle(t *testing.T) {
-	// The streamed capture must be bit-identical to the serial reference:
-	// clock times drawn up front, then each channel sampled and quantized in
-	// one pass (the seed implementation this pipeline replaced).
-	cfg := streamTestConfig(17)
+	// The capture must be bit-identical to the serial reference: clock
+	// times drawn up front, then each channel sampled and quantized in one
+	// pass by adc.Sample.
+	cfg := impairedConfig()
 	ti, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -241,44 +261,52 @@ func TestCaptureStreamMatchesDirectSampleOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference path with fresh converters and clocks at the same seeds.
-	a0, _ := adc.New(cfg.Ch0)
-	a1, _ := adc.New(cfg.Ch1)
-	seedBase := cfg.Seed + 1*7919 // first acquisition on a fresh TIADC
-	c0, _ := adc.NewClock(period, t0, cfg.ClockJitterRMS, seedBase)
-	c1, _ := adc.NewClock(period, t0+c.ActualD, cfg.ClockJitterRMS, seedBase+1)
-	want0 := a0.Sample(tone, c0.Times(0, n))
-	want1 := a1.Sample(tone, c1.Times(0, n))
+	want0, want1 := sampleOracle(t, cfg, tone, period, t0, c.ActualD, n)
 	for i := range want0 {
 		if c.Ch0[i] != want0[i] || c.Ch1[i] != want1[i] {
-			t.Fatalf("sample %d: streamed capture differs from serial oracle", i)
+			t.Fatalf("sample %d: capture differs from serial oracle", i)
 		}
 	}
 }
 
+// sampleOracle replays the first acquisition of a fresh TIADC built from
+// cfg with fresh converters and clocks at the same seeds.
+func sampleOracle(t *testing.T, cfg Config, x sig.Signal, period, t0, actualD float64, n int) (ch0, ch1 []float64) {
+	t.Helper()
+	a0, err := adc.New(cfg.Ch0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, err := adc.New(cfg.Ch1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedBase := cfg.Seed + 1*7919 // first acquisition on a fresh TIADC
+	c0, _ := adc.NewClock(period, t0, cfg.ClockJitterRMS, seedBase)
+	c1, _ := adc.NewClock(period, t0+actualD, cfg.ClockJitterRMS, seedBase+1)
+	return a0.Sample(x, c0.Times(0, n)), a1.Sample(x, c1.Times(0, n))
+}
+
 func TestCaptureFloatFallbackWithoutQuantizer(t *testing.T) {
 	// Ideal (unquantized) channels cannot use the int16 memory: Raw stays
-	// nil and the float path must still be chunk-invariant.
-	mk := func(chunk int) *Capture {
-		ti, err := New(Config{DCDE: DCDE{Min: 0, Max: 1e-9},
-			ClockJitterRMS: 3e-12, Seed: 5, StreamChunk: chunk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ti.Capture(&sig.Tone{Amp: 1, Freq: 13e6}, 1e-8, 180e-12, 1e-7, 333)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	// nil and the float path must still match the serial oracle.
+	cfg := Config{DCDE: DCDE{Min: 0, Max: 1e-9}, ClockJitterRMS: 3e-12, Seed: 5}
+	ti, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := mk(3)
-	b := mk(256)
-	if a.Raw0 != nil || a.Raw1 != nil {
+	tone := &sig.Tone{Amp: 1, Freq: 13e6}
+	c, err := ti.Capture(tone, 1e-8, 180e-12, 1e-7, 333)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Raw0 != nil || c.Raw1 != nil {
 		t.Fatal("ideal channels must not allocate raw buffers")
 	}
-	for i := range a.Ch0 {
-		if a.Ch0[i] != b.Ch0[i] || a.Ch1[i] != b.Ch1[i] {
-			t.Fatalf("sample %d: float fallback not chunk-invariant", i)
+	want0, want1 := sampleOracle(t, cfg, tone, 1e-8, 1e-7, c.ActualD, 333)
+	for i := range want0 {
+		if c.Ch0[i] != want0[i] || c.Ch1[i] != want1[i] {
+			t.Fatalf("sample %d: float fallback differs from serial oracle", i)
 		}
 	}
 }
