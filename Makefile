@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-hot bench-block bench-fused bench-fft obs-bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update
+.PHONY: all build test vet race check bench bench-hot bench-fused bench-fft obs-bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update
 
 # Committed coverage floor (percent of statements): `make cover` fails when
 # total coverage drops below this.
@@ -67,41 +67,11 @@ bench-hot:
 	@python3 -m json.tool BENCH_trace.json > /dev/null
 	@echo "trace overhead written to BENCH_trace.json"
 
-# bench-block records the blocked batch kernel and streaming-capture
-# revision of the LMS hot path into BENCH_block.json: the per-instant At
-# vs AtBlock kernels, the fused measure-stage grid path, the blocked cost
-# evaluation and the end-to-end mask BIST. Interpretation note: when this
-# revision was recorded the estimate stage's arithmetic was still pinned
-# bit-for-bit by the committed goldens, which set the end-to-end floor.
-# That freeze has since been lifted by the one-time golden re-pin that
-# shipped with the fused cost kernel (estimate-stage leaves now carry
-# explicit tolerance rules; see DESIGN.md "Golden pinning policy" and
-# BENCH_fused.json for the post-re-pin numbers).
-bench-block:
-	$(GO) test -run='^$$' -benchtime=100000x -benchmem \
-		-bench='BenchmarkReconstructorAt61Taps$$|BenchmarkAtBlock61Taps$$|BenchmarkEnvelopeGrid$$' . \
-		| awk '/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); \
-			printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %d, \"allocs_per_op\": %d},\n", $$1, $$3, $$5, $$7 }' > .bench_block_rows.tmp
-	$(GO) test -run='^$$' -benchtime=20x -benchmem \
-		-bench='BenchmarkCostEvaluation$$' . \
-		| awk '/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); \
-			printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %d, \"allocs_per_op\": %d},\n", $$1, $$3, $$5, $$7 }' >> .bench_block_rows.tmp
-	$(GO) test -run='^$$' -benchtime=5x -benchmem \
-		-bench='BenchmarkMaskBISTTraceOff$$' . \
-		| awk '/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); \
-			printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %d, \"allocs_per_op\": %d}\n", $$1, $$3, $$5, $$7 }' >> .bench_block_rows.tmp
-	@{ printf '{\n  "note": "Blocked batch kernel + streaming capture revision. AtBlock is bit-identical to At; when this revision was recorded the goldens still pinned the LMS cost floats bit-for-bit, so the estimate stage kept the frozen per-instant operation sequence and its wall-clock floor, while the grid, capture and measure paths carried the end-to-end win. That freeze was later lifted by the one-time re-pin that shipped with the fused cost kernel (estimate-stage goldens now carry explicit tolerance rules; see DESIGN.md Golden pinning policy and BENCH_fused.json for the post-re-pin numbers). The kernel rows are 0 allocs/op in steady state; the end-to-end row carries one-time per-unit allocations (block/grid prep tables, int16 capture memory, pipeline channel) that replace per-eval work. ns/op swings ~15%% run to run on a shared host; allocs/op is exact.",\n  "benchmarks": {\n'; \
-	cat .bench_block_rows.tmp; printf '  }\n}\n'; } > BENCH_block.json
-	@rm -f .bench_block_rows.tmp
-	@python3 -m json.tool BENCH_block.json > /dev/null
-	@echo "blocked-kernel benchmarks written to BENCH_block.json"
-
 # bench-fused records the reassociated fused cost kernel revision into
 # BENCH_fused.json: the fused single-candidate cost evaluation, the
-# multi-candidate batch fold (CostBatch, per-candidate cost), the
 # amortized campaign grid (per-cell cost) and the end-to-end mask BIST.
-# The "before" block carries the blocked-kernel predecessor's numbers
-# (from BENCH_block.json, same -benchtime) and "speedup" the resulting
+# The "before" block carries the numbers of the since-deleted blocked
+# kernel (recorded at the same -benchtime) and "speedup" the resulting
 # ratios. This revision required the one-time golden re-pin that moved
 # the estimate-stage leaves from byte-exact pinning to explicit tolerance
 # rules (cost rel 1e-9, delay abs 1 fs; see DESIGN.md "Golden pinning
@@ -110,14 +80,14 @@ bench-block:
 # allocs/op is exact.
 bench-fused:
 	$(GO) test -run='^$$' -benchtime=20x -benchmem \
-		-bench='BenchmarkCostEvaluation$$|BenchmarkCostBatch$$' . \
+		-bench='BenchmarkCostEvaluation$$' . \
 		| awk '/^Benchmark/' > .bench_fused_rows.tmp
 	$(GO) test -run='^$$' -benchtime=5x -benchmem \
 		-bench='BenchmarkCampaignGrid$$|BenchmarkMaskBISTTraceOff$$' . \
 		| awk '/^Benchmark/' >> .bench_fused_rows.tmp
 	@awk 'BEGIN { \
 			print "{"; \
-			print "  \"note\": \"Reassociated fused cost kernel revision: CostFused folds reconstruction and squared-error accumulation into one pass per candidate (Chebyshev cosine recurrences + monomial window coefficients), CostBatch amortizes prep across candidates, the LMS memoizes revisited candidates, and campaign runs pool captures and memoize clean stimulus waveforms. Numerical contract: |fused-serial|/serial <= 1e-9 on the cost (fuzzed differential oracle FuzzCostFusedVsSerial); the serial At/AtBlock path is untouched and stays bit-exact. before rows are the blocked-kernel predecessor from BENCH_block.json at the same -benchtime. ns/op swings ~15% run to run on a shared host; allocs/op is exact.\","; \
+			print "  \"note\": \"Reassociated fused cost kernel revision: CostFused folds reconstruction and squared-error accumulation into one pass per candidate (Chebyshev cosine recurrences + monomial window coefficients), the delay-independent tables are shared across candidates, the LMS memoizes revisited candidates, and campaign runs pool captures and memoize clean stimulus waveforms. Numerical contract: |fused-serial|/serial <= 1e-9 on the cost (fuzzed differential oracle FuzzCostFusedVsSerial); the serial At path is untouched and stays bit-exact. before rows are the since-deleted blocked-kernel predecessor at the same -benchtime. ns/op swings ~15% run to run on a shared host; allocs/op is exact.\","; \
 			print "  \"before\": {"; \
 			print "    \"BenchmarkCostEvaluation\": {\"ns_per_op\": 1051632, \"bytes_per_op\": 31154, \"allocs_per_op\": 2},"; \
 			print "    \"BenchmarkMaskBISTTraceOff\": {\"ns_per_op\": 222142591, \"bytes_per_op\": 14547329, \"allocs_per_op\": 3639}"; \
@@ -247,9 +217,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFIRLinearity -fuzztime=10s ./internal/dsp
 	$(GO) test -run='^$$' -fuzz=FuzzDecimateVsFilter -fuzztime=10s ./internal/dsp
 	$(GO) test -run='^$$' -fuzz=FuzzReconstructRetune -fuzztime=10s ./internal/pnbs
-	$(GO) test -run='^$$' -fuzz=FuzzAtBlockVsAt -fuzztime=10s ./internal/pnbs
 	$(GO) test -run='^$$' -fuzz=FuzzCostFusedVsSerial -fuzztime=10s ./internal/skew
 	$(GO) test -run='^$$' -fuzz=FuzzStimulusSpecRoundTrip -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzParseShard -fuzztime=10s ./internal/fleet
 
 # golden-update regenerates the committed golden vectors after an intended
 # numeric change. Inspect the diff before committing.

@@ -127,9 +127,9 @@ func run(args []string, out, diag io.Writer) error {
 }
 
 // sampleEnvelope evaluates the envelope on the uniform grid i/fs into the
-// caller's buffer — the same write-into idiom as pnbs.AtTimesInto /
-// EnvelopeInto, so repeated invocations (sweep scripts calling run() in a
-// loop) can reuse one buffer and the fan-out itself never allocates.
+// caller's buffer — the same write-into idiom as pnbs.EnvelopeGridInto,
+// so repeated invocations (sweep scripts calling run() in a loop) can
+// reuse one buffer and the fan-out itself never allocates.
 func sampleEnvelope(env sig.Envelope, fs float64, out []complex128) {
 	par.For(len(out), func(i int) {
 		out[i] = env.At(float64(i) / fs)

@@ -131,7 +131,7 @@ func (a *ADC) Analog(x sig.Signal, times, out []float64) {
 		}
 	}
 	gain, offset := a.cfg.Gain, a.cfg.Offset
-	par.ForRanges(n, func(lo, hi int) {
+	par.ForChunks(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = gain*x.At(out[i]) + offset
 		}

@@ -35,18 +35,3 @@ func ExampleWelchComplex() {
 	fmt.Printf("peak at %.0f kHz\n", fpk/1e3)
 	// Output: peak at 125 kHz
 }
-
-// Rational resampling by 3/2.
-func ExampleResampler() {
-	r, err := dsp.NewResampler(3, 2, 12, 70)
-	if err != nil {
-		panic(err)
-	}
-	in := make([]float64, 200)
-	for i := range in {
-		in[i] = math.Sin(2 * math.Pi * 0.05 * float64(i))
-	}
-	out := r.Apply(in)
-	fmt.Printf("%d -> %d samples\n", len(in), len(out))
-	// Output: 200 -> 300 samples
-}

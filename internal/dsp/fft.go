@@ -188,7 +188,7 @@ func FFTFreqs(n int, fs float64) []float64 {
 
 // DTFT evaluates the discrete-time Fourier transform of x at the normalised
 // frequency nu (cycles per sample): X(nu) = sum_n x[n] exp(-i 2 pi nu n).
-// It is the arbitrary-frequency companion of Goertzel for short sequences.
+// It is the arbitrary-frequency companion of the FFT for short sequences.
 func DTFT(x []float64, nu float64) complex128 {
 	var acc complex128
 	for n, v := range x {

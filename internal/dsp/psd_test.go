@@ -316,41 +316,3 @@ func TestDBHelpers(t *testing.T) {
 		t.Error("DBm")
 	}
 }
-
-func TestGoertzelMatchesDTFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	x := make([]float64, 333)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for _, nu := range []float64{0, 0.01, 0.123456, 0.25, 0.49} {
-		g := Goertzel(x, nu)
-		d := DTFT(x, nu)
-		if cabs(g-d) > 1e-7*float64(len(x)) {
-			t.Errorf("nu=%g: Goertzel %v vs DTFT %v", nu, g, d)
-		}
-	}
-	if Goertzel(nil, 0.1) != 0 {
-		t.Error("empty Goertzel should be 0")
-	}
-}
-
-func TestTonePhasorRecoversAmplitudeAndPhase(t *testing.T) {
-	n := 1000
-	nu := 0.123
-	amp, phase := 1.7, 0.6
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = amp * math.Cos(2*math.Pi*nu*float64(i)+phase)
-	}
-	p := TonePhasor(x, nu, Window(Hann, n, 0))
-	if math.Abs(cabs(p)-amp) > 1e-3 {
-		t.Errorf("amplitude %g, want %g", cabs(p), amp)
-	}
-	if d := math.Abs(math.Atan2(imag(p), real(p)) - phase); d > 1e-3 {
-		t.Errorf("phase error %g", d)
-	}
-	if TonePhasor(nil, 0.1, nil) != 0 {
-		t.Error("empty input")
-	}
-}

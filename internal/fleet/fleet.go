@@ -19,6 +19,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,16 +85,35 @@ type Shard struct {
 	Count int
 }
 
-// ParseShard reads the CLI "i/n" form.
+// ParseShard reads the CLI "i/n" form: the whole string must be two
+// canonical decimal integers (no sign, space or leading zero) around one
+// slash, so an accepted value prints back as exactly its input.
 func ParseShard(s string) (Shard, error) {
-	var sh Shard
-	if _, err := fmt.Sscanf(s, "%d/%d", &sh.Index, &sh.Count); err != nil {
+	is, ns, ok := strings.Cut(s, "/")
+	idx, okI := parseShardInt(is)
+	cnt, okN := parseShardInt(ns)
+	if !ok || !okI || !okN {
 		return Shard{}, fmt.Errorf("fleet: shard %q: want i/n", s)
 	}
-	if sh.Count < 1 || sh.Index < 0 || sh.Index >= sh.Count {
+	sh := Shard{Index: idx, Count: cnt}
+	if sh.Count < 1 || sh.Index >= sh.Count {
 		return Shard{}, fmt.Errorf("fleet: shard %d/%d out of range", sh.Index, sh.Count)
 	}
 	return sh, nil
+}
+
+// parseShardInt parses one canonical non-negative decimal integer.
+func parseShardInt(s string) (int, bool) {
+	if s == "" || (len(s) > 1 && s[0] == '0') {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	v, err := strconv.Atoi(s)
+	return v, err == nil
 }
 
 // Config tunes a Server.

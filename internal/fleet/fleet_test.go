@@ -102,10 +102,30 @@ func TestParseShard(t *testing.T) {
 	}{
 		{"0/1", Shard{0, 1}, true},
 		{"2/3", Shard{2, 3}, true},
+		{"1/2", Shard{1, 2}, true},
+		{"10/12", Shard{10, 12}, true},
 		{"3/3", Shard{}, false},
 		{"-1/2", Shard{}, false},
 		{"0/0", Shard{}, false},
 		{"banana", Shard{}, false},
+		// The whole string must parse: no trailing input, no padding.
+		{"1/2/3", Shard{}, false},
+		{"1/2xyz", Shard{}, false},
+		{" 1/2", Shard{}, false},
+		{"1/2 ", Shard{}, false},
+		{"1 /2", Shard{}, false},
+		{"1/2\n", Shard{}, false},
+		// Only the canonical decimal spelling is accepted.
+		{"+1/2", Shard{}, false},
+		{"01/2", Shard{}, false},
+		{"1/02", Shard{}, false},
+		{"0x1/2", Shard{}, false},
+		{"1/99999999999999999999", Shard{}, false},
+		{"", Shard{}, false},
+		{"/", Shard{}, false},
+		{"1/", Shard{}, false},
+		{"/2", Shard{}, false},
+		{"1", Shard{}, false},
 	} {
 		got, err := ParseShard(tc.in)
 		if tc.ok && (err != nil || got != tc.want) {
@@ -115,6 +135,26 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("ParseShard(%q) accepted", tc.in)
 		}
 	}
+}
+
+// FuzzParseShard: ParseShard never panics, and any accepted value prints
+// back through the "i/n" form as exactly its input.
+func FuzzParseShard(f *testing.F) {
+	for _, s := range []string{"0/1", "2/3", "1/2/3", "1/2xyz", " 1/2", "01/2", "-1/2", "+1/2", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sh, err := ParseShard(s)
+		if err != nil {
+			return
+		}
+		if back := fmt.Sprintf("%d/%d", sh.Index, sh.Count); back != s {
+			t.Fatalf("ParseShard(%q) = %+v, which prints as %q", s, sh, back)
+		}
+		if sh.Count < 1 || sh.Index < 0 || sh.Index >= sh.Count {
+			t.Fatalf("ParseShard(%q) accepted out-of-range %+v", s, sh)
+		}
+	})
 }
 
 func TestParseSpecRejectsUnknownFields(t *testing.T) {

@@ -8,16 +8,17 @@ import (
 
 // ForChunks calls fn(lo, hi) for consecutive FIXED-SIZE chunks of [0, n):
 // [0,chunk), [chunk,2·chunk), ..., distributed over at most Workers()
-// goroutines by work-stealing. Unlike ForRanges, whose split depends on the
-// worker count, the chunk boundaries here are a pure function of (n, chunk)
-// — so a caller that stores one partial result per chunk index and folds
-// the partials serially in chunk order gets a total that is bit-identical
-// at ANY pool size. That is the determinism contract of the fused cost
-// kernel (and of any reassociated reduction built on this dispatcher).
+// goroutines by work-stealing. The chunk boundaries are a pure function of
+// (n, chunk), never of the worker count — so a caller that stores one
+// partial result per chunk index and folds the partials serially in chunk
+// order gets a total that is bit-identical at ANY pool size. That is the
+// determinism contract of the fused cost kernel (and of any reassociated
+// reduction built on this dispatcher); callers with independent per-item
+// outputs (the ADC front end) get worker-count invariance for free.
 //
 // chunk <= 0 selects 256 items. The counters account one call and n tasks,
-// like ForRanges: the unit of useful work is the item, not the chunk, so
-// the curated metrics snapshot is unaffected by chunking choices. With one
+// like For: the unit of useful work is the item, not the chunk, so the
+// curated metrics snapshot is unaffected by chunking choices. With one
 // worker (or one chunk) the chunks run inline in order. A panic in any fn
 // is re-raised in the caller after the remaining workers drain.
 func ForChunks(n, chunk int, fn func(lo, hi int)) {

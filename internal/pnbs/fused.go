@@ -4,7 +4,7 @@ import "math"
 
 // This file implements the reassociated fused evaluation path of the Eq. (6)
 // reconstructor: the estimate-stage hot kernel behind skew.Cost. Unlike
-// AtBlock (block.go), which reproduces At bit for bit, the fused path is
+// At (the bit-pinned per-instant path and its oracle), the fused path is
 // allowed to reassociate — its contract is numerical equivalence within
 // tolerance (|fused − serial|/serial <= 1e-9 on the cost), the same contract
 // real-time TIADC correction hardware applies when it pipelines these FIR
@@ -28,8 +28,8 @@ import "math"
 // singularity.
 //
 // The delayed channel's offsets dt1 = nT + D − t move with the candidate, so
-// it keeps a per-tap loop — but with half of AtBlock's phasor state (the
-// four prompt phasors are gone) and the two kernel divisions merged into
+// it keeps a per-tap loop — but with half of At's phasor state (the four
+// prompt phasors are gone) and the two kernel divisions merged into
 // one: s(dt1) = ((ReA0 − ReB0)·inv0 + (ReA1 − ReB1)·inv1)/dt1 with
 // inv = 1/(2πB·sin φ) hoisted per candidate.
 //
@@ -71,7 +71,8 @@ type fusedPrep struct {
 }
 
 // matches reports whether the prepared tables cover exactly these instants
-// (value comparison, like blockPrep.matches).
+// (value comparison, so an equal block in fresh backing storage still hits
+// the cache and a mutated slice misses it).
 func (p *fusedPrep) matches(ts []float64) bool {
 	if p == nil || len(ts) != len(p.ts) {
 		return false
@@ -220,7 +221,7 @@ func (e *fusedEval) at(i int) float64 {
 	} else {
 		acc = ((row.pc0*e.cot0 + row.ps0) + (row.pc1*e.cot1 + row.ps1)) * e.inv2piB
 	}
-	// Delayed channel: only the REAL parts of AtBlock's phasors are ever
+	// Delayed channel: only the REAL parts of At's phasors are ever
 	// consumed here, so the per-tap state is four Chebyshev cosine
 	// recurrences (cos(θ+δ) = 2 cos δ · cos θ − cos(θ−δ)) — one multiply
 	// per angle per tap in place of a complex multiply — with the two
@@ -317,19 +318,6 @@ func (e *fusedEval) at(i int) float64 {
 		cB1, pB1 = tB1*cB1-pB1, cB1
 	}
 	return acc + dAcc
-}
-
-// AtBlockFused evaluates the reconstruction at every instant of the block
-// through the fused reassociated kernel, writing dst[i] ~ At(ts[i])
-// (len(dst) must be >= len(ts)). Values agree with At to reassociated
-// rounding — the differential tests bound the induced cost error at 1e-9
-// relative — but are NOT bit-identical; callers that need bit-identity to
-// the per-instant path use AtBlock.
-func (r *Reconstructor) AtBlockFused(ts []float64, dst []float64) {
-	e := r.fusedEvalCtx(ts)
-	for i := range ts {
-		dst[i] = e.at(i)
-	}
 }
 
 // CostFused returns the fused residual-power partial

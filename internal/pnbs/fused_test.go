@@ -6,19 +6,31 @@ import (
 	"testing"
 )
 
-// fusedTol checks |a-b| against the reassociation budget: 1e-9 relative
+// fusedClose checks |a-b| against the reassociation budget: 1e-9 relative
 // with a 1e-9 absolute floor (values near a reconstruction zero-crossing
 // have no meaningful relative error).
 func fusedClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))+1e-9
 }
 
-// TestAtBlockFusedMatchesAt bounds the reassociation error of the fused
+// fusedValues evaluates every instant of the block through the fused
+// kernel at the reconstructor's current delay — the per-instant values
+// CostFused folds.
+func fusedValues(r *Reconstructor, ts []float64) []float64 {
+	e := r.fusedEvalCtx(ts)
+	out := make([]float64, len(ts))
+	for i := range ts {
+		out[i] = e.at(i)
+	}
+	return out
+}
+
+// TestFusedEvalMatchesAt bounds the reassociation error of the fused
 // path against the per-instant At path over random bands, delays and
 // instants — including an integer-positioned band (s0 = 0), instants on
 // sample points (the Taylor branch of the contracted tables), and instants
 // outside the capture (fused value must be exactly 0, like At).
-func TestAtBlockFusedMatchesAt(t *testing.T) {
+func TestFusedEvalMatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	bands := []Band{
 		{FLow: 955e6, B: 90e6},   // the paper band
@@ -47,15 +59,14 @@ func TestAtBlockFusedMatchesAt(t *testing.T) {
 			}
 			ts[0] = lo - 400*r.tStep // out of capture: both paths return 0
 			ts[1] = r.t0 + 57*r.tStep
-			dst := make([]float64, len(ts))
-			r.AtBlockFused(ts, dst)
+			dst := fusedValues(r, ts)
 			for i, tv := range ts {
 				at := r.At(tv)
 				if i == 0 && (dst[i] != 0 || at != 0) {
 					t.Fatalf("band %d: out-of-capture instant: fused %g, At %g", bi, dst[i], at)
 				}
 				if !fusedClose(dst[i], at) {
-					t.Fatalf("band %d trial %d t=%g: AtBlockFused %.17g vs At %.17g",
+					t.Fatalf("band %d trial %d t=%g: fused %.17g vs At %.17g",
 						bi, trial, tv, dst[i], at)
 				}
 			}
@@ -63,11 +74,11 @@ func TestAtBlockFusedMatchesAt(t *testing.T) {
 	}
 }
 
-// TestAtBlockFusedPrepSurvivesRetune: the contracted tables are delay
+// TestFusedPrepSurvivesRetune: the contracted tables are delay
 // independent, so a Retune must reuse them and evaluate bit-identically to
 // a reconstructor freshly built at the new delay (which builds its own
 // tables from the same inputs).
-func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
+func TestFusedPrepSurvivesRetune(t *testing.T) {
 	band := Band{FLow: 955e6, B: 90e6}
 	ch0, ch1 := toneCapture(band, 180e-12, 260)
 	r, err := NewReconstructor(band, 180e-12, 0, ch0, ch1, Options{})
@@ -80,20 +91,17 @@ func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
 	for i := range ts {
 		ts[i] = lo + (hi-lo)*rng.Float64()
 	}
-	warm := make([]float64, len(ts))
-	r.AtBlockFused(ts, warm) // builds the tables at d = 180 ps
+	fusedValues(r, ts) // builds the tables at d = 180 ps
 	for _, d := range []float64{120e-12, 240e-12, 180e-12} {
 		if err := r.Retune(d); err != nil {
 			t.Fatal(err)
 		}
-		got := make([]float64, len(ts))
-		r.AtBlockFused(ts, got) // must hit the cached tables
+		got := fusedValues(r, ts) // must hit the cached tables
 		fresh, err := NewReconstructor(band, d, 0, ch0, ch1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]float64, len(ts))
-		fresh.AtBlockFused(ts, want)
+		want := fusedValues(fresh, ts)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("d=%g i=%d: retuned fused %.17g != fresh build %.17g", d, i, got[i], want[i])
@@ -103,7 +111,7 @@ func TestAtBlockFusedPrepSurvivesRetune(t *testing.T) {
 }
 
 // TestCloneSharesFusedTables pins the amortization mechanism of the pooled
-// cost evaluators: clones share the prepared-table cache slots, so a table
+// cost evaluators: clones share the fused-table cache slot, so a table
 // built by any family member is visible to all — and a clone evaluates
 // bit-identically to a reconstructor freshly built at its delay.
 func TestCloneSharesFusedTables(t *testing.T) {
@@ -119,16 +127,12 @@ func TestCloneSharesFusedTables(t *testing.T) {
 		ts[i] = lo + (hi-lo)*float64(i)/float64(len(ts)-1)
 	}
 	r.PrepareFused(ts)
-	r.PrepareBlock(ts)
 	c, err := r.Clone(240e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.fused.Load() != r.fused.Load() || c.fused.Load() == nil {
 		t.Fatal("clone does not share the fused table cache")
-	}
-	if c.block.Load() != r.block.Load() || c.block.Load() == nil {
-		t.Fatal("clone does not share the block table cache")
 	}
 	// Preparation through the clone publishes for the original too.
 	other := append([]float64(nil), ts[:20]...)
@@ -140,14 +144,12 @@ func TestCloneSharesFusedTables(t *testing.T) {
 	if c.Kernel().D() != 240e-12 || r.Kernel().D() != 180e-12 {
 		t.Fatalf("delays: clone %g, original %g", c.Kernel().D(), r.Kernel().D())
 	}
-	got := make([]float64, len(ts))
-	c.AtBlockFused(ts, got)
+	got := fusedValues(c, ts)
 	fresh, err := NewReconstructor(band, 240e-12, 0, ch0, ch1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]float64, len(ts))
-	fresh.AtBlockFused(ts, want)
+	want := fusedValues(fresh, ts)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("i=%d: clone %.17g != fresh %.17g", i, got[i], want[i])

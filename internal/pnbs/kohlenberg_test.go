@@ -339,11 +339,13 @@ func TestReconstructorEnvelopeDownconversion(t *testing.T) {
 	}
 	r, _ := NewReconstructor(b, d, 0, ch0, ch1, Options{})
 	lo, _ := r.ValidRange()
+	fs := 4 * b.B // 4x oversampled envelope grid
 	ts := make([]float64, 512)
 	for i := range ts {
-		ts[i] = lo + float64(i)*tt/4 // 4x oversampled envelope grid
+		ts[i] = lo + float64(i)/fs
 	}
-	env := r.Envelope(b.Fc(), ts)
+	env := make([]complex128, len(ts))
+	r.EnvelopeGridInto(b.Fc(), lo, fs, env)
 	// Windowed DTFT of the envelope: the desired complex tone sits at +fb
 	// with amplitude ~1; the 2fc image aliases far out of band.
 	phasor := func(f float64) float64 {

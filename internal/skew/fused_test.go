@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/pnbs"
 )
 
@@ -171,4 +172,89 @@ func FuzzCostFusedVsSerial(f *testing.F) {
 				dHat, halfTaps, got, ref, rd)
 		}
 	})
+}
+
+// TestCostFusedBitIdenticalAcrossWorkers pins the worker-count-invariance
+// half of the fused path's contract: Cost chunks the instants into
+// FIXED-size blocks (never derived from the pool width) and folds the
+// per-chunk partials serially in chunk order, so the value at workers 2 and
+// 8 must equal the single-worker value bit for bit.
+func TestCostFusedBitIdenticalAcrossWorkers(t *testing.T) {
+	ce := paperEvaluator(t, 180e-12)
+	dHats := []float64{50e-12, 120e-12, 180e-12, 240e-12, 400e-12}
+	for _, dHat := range dHats {
+		prev := par.SetWorkers(1)
+		ref, err := ce.Cost(dHat)
+		par.SetWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 8} {
+			prev := par.SetWorkers(w)
+			got, err := ce.Cost(dHat)
+			par.SetWorkers(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != ref {
+				t.Fatalf("workers=%d dHat=%g: fused Cost %.17g != single-worker %.17g",
+					w, dHat, got, ref)
+			}
+		}
+	}
+}
+
+// TestCostFusedMatchesSerialOracle is the tolerance half of the contract:
+// the reassociated fused value must agree with the rebuild-everything
+// per-instant serial oracle to 1e-9 relative (the documented estimate-stage
+// golden tolerance; in practice the agreement is ~1e-12).
+func TestCostFusedMatchesSerialOracle(t *testing.T) {
+	ce := paperEvaluator(t, 180e-12)
+	for _, dHat := range []float64{50e-12, 120e-12, 180e-12, 240e-12, 400e-12} {
+		got, err := ce.Cost(dHat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := ce.costSerial(dHat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd := relDiff(got, ref); rd > 1e-9 {
+			t.Fatalf("dHat=%g: fused %.17g vs serial oracle %.17g (rel %g)", dHat, got, ref, rd)
+		}
+	}
+}
+
+// TestCostFusedPrepSurvivesRetune drives one pooled worker through many
+// candidate delays: the first evaluation builds the contracted tables,
+// every later one must reuse them through Retune (the tables are delay
+// independent). Bit-equality with a FRESH evaluator's first evaluation at
+// the same delay proves the reuse is exact — the retuned tables are the
+// very floats a from-scratch build produces — and the serial oracle bounds
+// the absolute accuracy at each stop.
+func TestCostFusedPrepSurvivesRetune(t *testing.T) {
+	ce := paperEvaluator(t, 180e-12)
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	for _, dHat := range []float64{100e-12, 180e-12, 260e-12, 180e-12, 100e-12} {
+		got, err := ce.Cost(dHat) // pooled: same worker, Retune between calls
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := paperEvaluator(t, 180e-12)
+		want, err := fresh.Cost(dHat) // fresh evaluator: tables built from scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("dHat=%g: retuned worker %.17g != fresh build %.17g", dHat, got, want)
+		}
+		ref, err := ce.costSerial(dHat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd := relDiff(got, ref); rd > 1e-9 {
+			t.Fatalf("dHat=%g: retuned %.17g vs serial oracle %.17g (rel %g)", dHat, got, ref, rd)
+		}
+	}
 }
