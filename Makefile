@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-hot bench-fused bench-fft obs-bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update
+.PHONY: all build test vet race check bench bench-fft obs-bench trace-smoke campaign-smoke campaign-smoke-update bistd-smoke telemetry-smoke cover fuzz-smoke golden-update
 
 # Committed coverage floor (percent of statements): `make cover` fails when
 # total coverage drops below this.
@@ -27,87 +27,14 @@ race:
 # check is the CI gate: vet + race.
 check: vet race
 
-# bench regenerates every paper artifact and kernel benchmark with
-# allocation stats. Compare against BENCH_baseline.json (recorded with
-# -benchtime=3x on the seed revision).
+# bench runs every paper-artifact and kernel benchmark with allocation
+# stats. The recorded end-to-end and per-layer ledger is perfbench
+# (perfbench/run.sh, declared in BENCHMARK.json).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# bench-hot is the fast subset covering the LMS hot path and the paper's
-# headline artifacts, with the baseline's -benchtime for comparability.
-# Alongside ns/op it records the per-run counter deltas of the end-to-end
-# mask BIST (cost evals, plan-cache traffic, dispatched tasks) into
-# BENCH_hot_metrics.json, so the trajectory carries work counts, not just
-# wall clock. The counter subset is deterministic in a fresh process;
-# histogram sums are wall-clock and vary like ns/op does.
-bench-hot:
-	$(GO) test -run='^$$' -benchtime=3x -benchmem \
-		-bench='BenchmarkFig5$$|BenchmarkFig6$$|BenchmarkTable1$$|BenchmarkCostEvaluation$$|BenchmarkReconstructorAt61Taps$$|BenchmarkKaiserWindow$$|BenchmarkYield$$' .
-	$(GO) run ./cmd/bistlab mask -scale 0.3 -metrics \
-		| awk '/^---- metrics ----$$/{found=1;next} found' > BENCH_hot_metrics.json
-	@echo "counter deltas written to BENCH_hot_metrics.json"
-	$(GO) test -run='^$$' -benchtime=6x -benchmem \
-		-bench='BenchmarkMaskBISTTraceOff$$|BenchmarkMaskBISTTraceOn$$' . \
-		| awk 'BEGIN { print "{"; \
-			print "  \"note\": \"trace recording overhead on the end-to-end mask BIST at scale 0.35: Off is the ambient state (every span site is one inlined atomic load), On records the full span tree and counter streams. Written by make bench-hot; allocs/op is exact, ns/op is noisy on a shared host — overhead_pct inside the noise_band_pct window means no overhead was resolved (an On row faster than Off is sampling noise, not a speedup).\","; \
-			print "  \"noise_band_pct\": 15,"; \
-			print "  \"benchmarks\": {" } \
-		/^BenchmarkMaskBISTTrace/ { sub(/-[0-9]+$$/, "", $$1); if (seen++) printf ",\n"; \
-			ns[$$1] = $$3; \
-			printf "    \"%s\": {\"ns_per_op\": %d, \"bytes_per_op\": %d, \"allocs_per_op\": %d}", $$1, $$3, $$5, $$7 } \
-		END { print "\n  },"; \
-			off = ns["BenchmarkMaskBISTTraceOff"]; on = ns["BenchmarkMaskBISTTraceOn"]; \
-			pct = (off > 0) ? (on - off) * 100.0 / off : 0; \
-			printf "  \"overhead_pct\": %.1f\n}\n", pct; \
-			if (pct < -15) { \
-				print "FAIL: TraceOn measured " pct "% FASTER than TraceOff — beyond the 15% noise band, the measurement is broken; rerun bench-hot on a quiet host" > "/dev/stderr"; \
-				exit 1 } \
-			if (pct > 50) \
-				print "WARNING: trace overhead " pct "% above the expected 50% ceiling — rerun bench-hot on a quiet host" > "/dev/stderr" }' > BENCH_trace.json
-	@python3 -m json.tool BENCH_trace.json > /dev/null
-	@echo "trace overhead written to BENCH_trace.json"
-
-# bench-fused records the reassociated fused cost kernel revision into
-# BENCH_fused.json: the fused single-candidate cost evaluation, the
-# amortized campaign grid (per-cell cost) and the end-to-end mask BIST.
-# The "before" block carries the numbers of the since-deleted blocked
-# kernel (recorded at the same -benchtime) and "speedup" the resulting
-# ratios. This revision required the one-time golden re-pin that moved
-# the estimate-stage leaves from byte-exact pinning to explicit tolerance
-# rules (cost rel 1e-9, delay abs 1 fs; see DESIGN.md "Golden pinning
-# policy"); the serial kernel stays bit-exact and is kept as the fuzzed
-# differential oracle. ns/op swings ~15%% run to run on a shared host;
-# allocs/op is exact.
-bench-fused:
-	$(GO) test -run='^$$' -benchtime=20x -benchmem \
-		-bench='BenchmarkCostEvaluation$$' . \
-		| awk '/^Benchmark/' > .bench_fused_rows.tmp
-	$(GO) test -run='^$$' -benchtime=5x -benchmem \
-		-bench='BenchmarkCampaignGrid$$|BenchmarkMaskBISTTraceOff$$' . \
-		| awk '/^Benchmark/' >> .bench_fused_rows.tmp
-	@awk 'BEGIN { \
-			print "{"; \
-			print "  \"note\": \"Reassociated fused cost kernel revision: CostFused folds reconstruction and squared-error accumulation into one pass per candidate (Chebyshev cosine recurrences + monomial window coefficients), the delay-independent tables are shared across candidates, the LMS memoizes revisited candidates, and campaign runs pool captures and memoize clean stimulus waveforms. Numerical contract: |fused-serial|/serial <= 1e-9 on the cost (fuzzed differential oracle FuzzCostFusedVsSerial); the serial At path is untouched and stays bit-exact. before rows are the since-deleted blocked-kernel predecessor at the same -benchtime. ns/op swings ~15% run to run on a shared host; allocs/op is exact.\","; \
-			print "  \"before\": {"; \
-			print "    \"BenchmarkCostEvaluation\": {\"ns_per_op\": 1051632, \"bytes_per_op\": 31154, \"allocs_per_op\": 2},"; \
-			print "    \"BenchmarkMaskBISTTraceOff\": {\"ns_per_op\": 222142591, \"bytes_per_op\": 14547329, \"allocs_per_op\": 3639}"; \
-			print "  },"; \
-			print "  \"benchmarks\": {" } \
-		/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); if (seen++) printf ",\n"; \
-			ns[$$1] = $$3; \
-			printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %d, \"allocs_per_op\": %d}", $$1, $$3, $$5, $$7 } \
-		END { print "\n  },"; \
-			ce = ns["BenchmarkCostEvaluation"]; mb = ns["BenchmarkMaskBISTTraceOff"]; \
-			printf "  \"speedup\": {\"cost_eval_vs_block\": %.2f, \"mask_bist_vs_block\": %.2f, \"mask_bist_vs_seed_386ms\": %.2f}\n}\n", \
-				(ce > 0) ? 1051632 / ce : 0, (mb > 0) ? 222142591 / mb : 0, (mb > 0) ? 386000000 / mb : 0 }' \
-		.bench_fused_rows.tmp > BENCH_fused.json
-	@rm -f .bench_fused_rows.tmp
-	@python3 -m json.tool BENCH_fused.json > /dev/null
-	@echo "fused-kernel benchmarks written to BENCH_fused.json"
-
 # bench-fft covers the plan-based transform engine and the Welch estimator
-# built on it. Compare against BENCH_plans.json (before/after for the plan
-# migration); BenchmarkFFTPlan* must report 0 allocs/op in steady state.
+# built on it; BenchmarkFFTPlan* must report 0 allocs/op in steady state.
 bench-fft:
 	$(GO) test -run='^$$' -benchmem \
 		-bench='BenchmarkFFTPlan1024$$|BenchmarkFFTPlan4096$$|BenchmarkFFTPlanOdd1000$$|BenchmarkWelch64k$$|BenchmarkWelchPSD$$|BenchmarkFFT4096$$' .

@@ -125,8 +125,9 @@ func BenchmarkMaskBIST(b *testing.B) {
 // BenchmarkMaskBISTTraceOff/On measure the cost of the hierarchical trace
 // layer on the end-to-end mask BIST: Off is the ambient state (every span
 // site reduced to one inlined atomic load), On records the full span tree
-// and counter streams into the in-memory buffers. The pair is recorded in
-// BENCH_trace.json by `make bench-hot`.
+// and counter streams into the in-memory buffers. perfbench's traced pass
+// (`perfbench/run.sh --trace 1`) reports the end-to-end overhead as
+// obs.trace_overhead_pct.
 func BenchmarkMaskBISTTraceOff(b *testing.B) {
 	if trace.Enabled() {
 		b.Fatal("a trace recording is active")

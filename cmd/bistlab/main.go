@@ -50,12 +50,10 @@ import (
 )
 
 // Per-experiment instruments: one counter per experiment name plus a shared
-// latency histogram, so `bistlab all -metrics` profiles the whole paper
+// stage — the "bistlab.run" root span every invocation runs under and its
+// latency histogram — so `bistlab all -metrics` profiles the whole paper
 // regeneration in one pass.
-var hExperiment = obs.H("bistlab.experiment.seconds", obs.LatencyBuckets)
-
-// tnBistlabRun is the root span every experiment invocation runs under.
-var tnBistlabRun = trace.Intern("bistlab.run")
+var stExperiment = obs.NewStage("bistlab.run", "bistlab.experiment.seconds")
 
 func main() {
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
@@ -71,7 +69,7 @@ func run(w io.Writer, args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the structured result as JSON instead of text")
 	campaignPath := fs.String("campaign", "", "coverage-campaign grid JSON file (\"default\" or empty = built-in reference grid); implies the campaign experiment when no name is given")
 	metrics := fs.Bool("metrics", false, "collect runtime metrics and append a per-run metrics block to the report")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/vars on this address for the run's duration (implies -metrics)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /metrics.prom on this address for the run's duration (implies -metrics)")
 	pprofFlag := fs.Bool("pprof", false, "also serve /debug/pprof on -metrics-addr (net/http/pprof)")
 	traceOut := fs.String("trace", "", "record a hierarchical trace and write Chrome trace-event JSON (Perfetto-loadable) to this file; - writes to stdout")
 	traceNorm := fs.String("trace-normalized", "", "also write the normalized (timestamp-free, worker-count-invariant) span tree to this file; - writes to stdout")
@@ -274,8 +272,7 @@ func writeArtifact(w io.Writer, path string, emitFn func(io.Writer) error) error
 // delimited section in text mode, a second canonical-JSON document (JSON
 // lines style) after the result in -json mode. Counters are deltas since
 // the start of the invocation (the registry is reset before the run), so
-// piping the output into a BENCH_*.json trajectory carries cost-eval and
-// cache-traffic counts alongside ns/op.
+// the block carries the run's cost-eval and cache-traffic counts.
 func emitMetricsBlock(w io.Writer, jsonOut bool) error {
 	b, err := obs.MarshalSnapshot()
 	if err != nil {
@@ -312,11 +309,9 @@ func emit(w io.Writer, v renderer, jsonOut bool) error {
 
 func runOne(w io.Writer, name string, scale float64, nPts int, jsonOut bool, campaignPath string) error {
 	obs.C("bistlab.runs." + name).Inc()
-	sp := hExperiment.Start()
+	sp := stExperiment.Start(trace.Root)
+	sp.SetAttr("experiment", name)
 	defer sp.End()
-	tsp := trace.Start(trace.Root, tnBistlabRun)
-	tsp.SetAttr("experiment", name)
-	defer tsp.End()
 	setup := experiments.DefaultPaperSetup()
 	switch name {
 	case "fig3a":

@@ -18,12 +18,11 @@ var (
 	mUnits    = obs.C("campaign.units")
 	mRejected = obs.C("campaign.rejected")
 	mErrors   = obs.C("campaign.errors")
-	// mCellSeconds is the fleet SLO histogram: wall-clock seconds per cell,
-	// exposed to Prometheus as bist_campaign_cell_seconds. Telemetry only —
-	// the duration never reaches CellResult, which stays a pure function of
+	// stCell's histogram is the fleet SLO view of seconds per cell, exposed
+	// to Prometheus as bist_campaign_cell_seconds. Telemetry only — the
+	// duration never reaches CellResult, which stays a pure function of
 	// the cell's content.
-	mCellSeconds = obs.H("campaign.cell.seconds", obs.LatencyBuckets)
-	tnCell       = trace.Intern("campaign.cell")
+	stCell = obs.NewStage("campaign.cell", "campaign.cell.seconds")
 )
 
 // healthyName labels the implicit no-fault baseline row every campaign

@@ -127,8 +127,7 @@ func (p *Plan) GridHash() (string, error) {
 func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 	job := p.Cells[i]
 	started := time.Now()
-	sp := trace.Start(trace.Root, tnCell)
-	defer sp.End()
+	sp := stCell.Start(trace.Root)
 	cell := CellResult{
 		Stimulus:   job.Stimulus.Name,
 		Fault:      job.Fault.Name,
@@ -143,6 +142,7 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 		}
 		cfg, err := job.Stimulus.Configure(cfg)
 		if err != nil {
+			sp.End()
 			return CellResult{}, fmt.Errorf("campaign: cell %s/%s: %w", job.Stimulus.Name, job.Fault.Name, err)
 		}
 		rep, runErr := runUnit(cfg, sp.Ctx())
@@ -176,10 +176,9 @@ func (p *Plan) RunCell(i int, onUnit func(UnitVerdict)) (CellResult, error) {
 	}
 	cell.DetectionRate = float64(cell.Rejected) / float64(cell.Units)
 	mCells.Inc()
-	elapsed := time.Since(started)
-	mCellSeconds.Observe(elapsed.Seconds())
+	sp.End()
 	if p.OnCellDone != nil {
-		p.OnCellDone(i, cell, elapsed)
+		p.OnCellDone(i, cell, time.Since(started))
 	}
 	return cell, nil
 }

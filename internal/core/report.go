@@ -15,30 +15,18 @@ import (
 	"repro/internal/skew"
 )
 
-// Stage latency instruments for the BIST pipeline. One histogram per
-// pipeline stage (seconds, shared exponential buckets) plus a run counter;
-// together with skew's eval counter they make the paper's compute-budget
-// discussion observable on a live run instead of analytic-only.
+// Stage instruments for the BIST pipeline: one obs.Stage per stage, nested
+// under one per run. Together with the run counter and skew's eval counter
+// they make the paper's compute-budget discussion observable on a live run
+// instead of analytic-only.
 var (
 	mRuns         = obs.C("core.bist.runs")
-	hStageAcquire = obs.H("core.stage.acquire.seconds", obs.LatencyBuckets)
-	hStageEstim   = obs.H("core.stage.estimate.seconds", obs.LatencyBuckets)
-	hStageRecon   = obs.H("core.stage.reconstruct.seconds", obs.LatencyBuckets)
-	hStageMeasure = obs.H("core.stage.measure.seconds", obs.LatencyBuckets)
-	hRunTotal     = obs.H("core.stage.total.seconds", obs.LatencyBuckets)
-)
-
-// Trace span names for the pipeline (interned once). The histograms above
-// answer "how long do stages take on aggregate"; the spans place each
-// stage of each run on a timeline, nested under one root span per BIST
-// execution.
-var (
-	tnRun         = trace.Intern("core.bist.run")
-	tnAcquire     = trace.Intern("core.stage.acquire")
-	tnEstimate    = trace.Intern("core.stage.estimate")
-	tnReconstruct = trace.Intern("core.stage.reconstruct")
-	tnMeasure     = trace.Intern("core.stage.measure")
-	tnADCCheck    = trace.Intern("core.stage.adccheck")
+	stRun         = obs.NewStage("core.bist.run", "core.stage.total.seconds")
+	stAcquire     = obs.NewStage("core.stage.acquire", "core.stage.acquire.seconds")
+	stEstimate    = obs.NewStage("core.stage.estimate", "core.stage.estimate.seconds")
+	stReconstruct = obs.NewStage("core.stage.reconstruct", "core.stage.reconstruct.seconds")
+	stMeasure     = obs.NewStage("core.stage.measure", "core.stage.measure.seconds")
+	tnADCCheck    = trace.Intern("core.stage.adccheck") // traced only
 )
 
 // ComputeBudget estimates the arithmetic work of one BIST execution — the
@@ -155,9 +143,7 @@ func (b *BIST) Run() (*Report, error) {
 func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	c := b.cfg
 	mRuns.Inc()
-	total := hRunTotal.Start()
-	defer total.End()
-	run := trace.Start(tc, tnRun)
+	run := stRun.Start(tc)
 	run.SetAttr("scenario", b.tx.Describe())
 	defer run.End()
 	rep := &Report{
@@ -184,11 +170,9 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	}
 
 	// 1-2. Acquire the PA output nonuniformly at both rates.
-	spAcq := hStageAcquire.Start()
-	tAcq := trace.Start(run.Ctx(), tnAcquire)
+	acq := stAcquire.Start(run.Ctx())
 	setB, setB1, caps, actualD, err := b.acquire()
-	tAcq.End()
-	spAcq.End()
+	acq.End()
 	if err != nil {
 		return nil, err
 	}
@@ -202,11 +186,9 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	rep.DActual = actualD
 
 	// 3. Identify the channel delay (Algorithm 1).
-	spEst := hStageEstim.Start()
-	tEst := trace.Start(run.Ctx(), tnEstimate)
-	res, ce, err := b.estimate(tEst.Ctx(), setB, setB1)
-	tEst.End()
-	spEst.End()
+	est := stEstimate.Start(run.Ctx())
+	res, ce, err := b.estimate(est.Ctx(), setB, setB1)
+	est.End()
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +196,10 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	rep.LMS = res
 
 	// 4. Reconstruct the bandpass waveform with the estimated delay.
-	spRec := hStageRecon.Start()
-	tRec := trace.Start(run.Ctx(), tnReconstruct)
+	recon := stReconstruct.Start(run.Ctx())
 	rec, err := b.Reconstructor(setB, res.DHat)
 	if err != nil {
-		tRec.End()
-		spRec.End()
+		recon.End()
 		return nil, err
 	}
 	// Ground-truth fidelity at the evaluation instants.
@@ -227,13 +207,10 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 	got := rec.AtTimes(ce.Times())
 	want := sig.SampleAt(truth, ce.Times())
 	rep.ReconRelErr = dsp.RelRMSError(got, want)
-	tRec.End()
-	spRec.End()
+	recon.End()
 
-	spMeas := hStageMeasure.Start()
-	defer spMeas.End()
-	tMeas := trace.Start(run.Ctx(), tnMeasure)
-	defer tMeas.End()
+	meas := stMeasure.Start(run.Ctx())
+	defer meas.End()
 
 	// 5. Spectral measurements.
 	if c.Mask != nil {
@@ -260,7 +237,7 @@ func (b *BIST) RunCtx(tc trace.Ctx) (*Report, error) {
 			rep.ACPRHighDB = v
 		}
 		// Reference: the same measurement directly on the Tx envelope.
-		refSpec, err := b.referencePSD(tMeas.Ctx())
+		refSpec, err := b.referencePSD(meas.Ctx())
 		if err == nil {
 			if refRep, err := mask.Check(c.Mask, refSpec, c.Fc); err == nil {
 				rep.RefMask = refRep

@@ -262,11 +262,13 @@ type Server struct {
 
 	// Health sampling state. draining flips the moment Shutdown begins so
 	// /healthz turns away traffic before the drain completes; running and
-	// lastCkptNanos are the watchdog's progress signals; watchdog is the
-	// sampler itself, when one was started.
+	// lastCkptNanos are the watchdog's progress signals; ckptFailed holds
+	// from a failed checkpoint write until the next one succeeds; watchdog
+	// is the sampler itself, when one was started.
 	draining      atomic.Bool
 	running       atomic.Pointer[Campaign]
 	lastCkptNanos atomic.Int64
+	ckptFailed    atomic.Bool
 	watchdog      atomic.Pointer[Watchdog]
 }
 
@@ -677,7 +679,8 @@ func (s *Server) checkpointPath(c *Campaign) string {
 
 // writeCheckpoint persists the current completed-cell set atomically
 // (write-to-temp, rename) so a kill mid-write can never leave a truncated
-// checkpoint that a resume would trust.
+// checkpoint that a resume would trust. A failure is reported (event and
+// watchdog cause) and the campaign carries on.
 func (s *Server) writeCheckpoint(c *Campaign) {
 	if s.cfg.CheckpointDir == "" {
 		return
@@ -686,19 +689,23 @@ func (s *Server) writeCheckpoint(c *Campaign) {
 	defer s.ckptMu.Unlock()
 	b, err := c.Checkpoint().MarshalCanonical()
 	if err != nil {
+		s.checkpointFailed(c, "marshal", err)
 		return
 	}
 	path := s.checkpointPath(c)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		s.checkpointFailed(c, "write", err)
 		return
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
+		s.checkpointFailed(c, "rename", err)
 		return
 	}
 	mCkptWrites.Inc()
 	s.lastCkptNanos.Store(time.Now().UnixNano())
+	s.ckptFailed.Store(false)
 	if eventlog.On() {
 		c.mu.Lock()
 		cells := len(c.done)
@@ -707,6 +714,18 @@ func (s *Server) writeCheckpoint(c *Campaign) {
 			slog.String("campaign", c.ID),
 			slog.Int("shard_index", c.Shard.Index),
 			slog.Int("cells", cells))
+	}
+}
+
+// checkpointFailed reports a failed write at step (marshal, write, rename)
+// and holds the watchdog's checkpoint_failed cause until a write succeeds.
+func (s *Server) checkpointFailed(c *Campaign, step string, err error) {
+	s.ckptFailed.Store(true)
+	if eventlog.On() {
+		eventlog.Emit("fleet.checkpoint.error",
+			slog.String("campaign", c.ID),
+			slog.String("step", step),
+			slog.String("error", err.Error()))
 	}
 }
 

@@ -30,9 +30,10 @@ const (
 // Health cause codes, machine-readable so a fleet controller can react
 // without parsing prose.
 const (
-	CauseQueueSaturated  = "queue_saturated"
-	CauseNoCompletion    = "no_completion"
-	CauseCheckpointStale = "checkpoint_stale"
+	CauseQueueSaturated   = "queue_saturated"
+	CauseNoCompletion     = "no_completion"
+	CauseCheckpointStale  = "checkpoint_stale"
+	CauseCheckpointFailed = "checkpoint_failed"
 )
 
 // Health is the /healthz payload: a state plus the machine-readable
@@ -197,6 +198,10 @@ func (w *Watchdog) tick() {
 				state = HealthDegraded
 			}
 		}
+	}
+	if s.ckptFailed.Load() {
+		h.Causes = append(h.Causes, CauseCheckpointFailed)
+		state = HealthDegraded
 	}
 	if w.idleTicks >= w.cfg.StallIntervals {
 		h.Causes = append(h.Causes, CauseNoCompletion)

@@ -1,12 +1,19 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs/eventlog"
 )
 
 // getStatus fetches a URL without asserting the status code (getOK fatals
@@ -194,5 +201,91 @@ func TestWatchdogQueueSaturation(t *testing.T) {
 	defer ts.Close()
 	if code, _ := getStatus(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Errorf("degraded /healthz = %d, want 200", code)
+	}
+}
+
+// TestCheckpointWriteFailureIsVisible injects a write fault — a directory
+// squatting on the checkpoint's temp path, which defeats WriteFile even
+// for root — and checks that the failure surfaces as a
+// fleet.checkpoint.error event and a degraded /healthz with the
+// checkpoint_failed cause, that the campaign still finishes with the
+// single-process matrix bytes, and that the next successful write clears
+// the cause.
+func TestCheckpointWriteFailureIsVisible(t *testing.T) {
+	g := fleetGrid()
+	want := singleProcessMatrix(t, g)
+	spec := Spec{Name: "ckpt-fault", Grid: g}
+	id, err := campaignID(spec, Shard{Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, id+".ckpt.json.tmp")
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	var logBuf bytes.Buffer
+	prevLog := eventlog.Set(slog.New(eventlog.NewJSONHandler(&logBuf)))
+	defer eventlog.Set(prevLog)
+
+	s := newTestServer(t, Config{CheckpointDir: dir})
+	w := s.StartWatchdog(WatchdogConfig{Interval: 5 * time.Millisecond})
+	defer w.Close()
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+
+	c := submitAndWait(t, s, spec)
+	drainEvents(c)
+	c.mu.Lock()
+	got := c.matrix
+	c.mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Error("matrix differs from single-process bytes after checkpoint failures")
+	}
+
+	// checkpoint_stale may ride along while the campaign is still marked
+	// running: with every write failing, the last success is its start.
+	h := waitHealthState(t, s, HealthDegraded, 5*time.Second)
+	found := false
+	for _, cause := range h.Causes {
+		found = found || cause == CauseCheckpointFailed
+	}
+	if !found {
+		t.Errorf("degraded causes = %v, want %s", h.Causes, CauseCheckpointFailed)
+	}
+	code, body := getStatus(t, ts.URL+"/healthz")
+	if code != http.StatusOK || !bytes.Contains(body, []byte(CauseCheckpointFailed)) {
+		t.Errorf("/healthz = %d %s, want 200 naming %s", code, body, CauseCheckpointFailed)
+	}
+
+	// Clear the fault: the next write succeeds and health recovers.
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	s.writeCheckpoint(c)
+	waitHealthState(t, s, HealthOK, 5*time.Second)
+	if _, err := os.Stat(filepath.Join(dir, id+".ckpt.json")); err != nil {
+		t.Errorf("checkpoint not written after the fault cleared: %v", err)
+	}
+
+	w.Close()
+	eventlog.Set(prevLog)
+	var events int
+	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("event line not JSON: %v\n%s", err, line)
+		}
+		if ev["event"] != "fleet.checkpoint.error" {
+			continue
+		}
+		events++
+		if ev["campaign"] != id || ev["step"] != "write" || ev["error"] == "" {
+			t.Errorf("checkpoint error event = %v", ev)
+		}
+	}
+	if events == 0 {
+		t.Errorf("no fleet.checkpoint.error event in the log:\n%s", logBuf.String())
 	}
 }

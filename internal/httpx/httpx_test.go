@@ -60,7 +60,7 @@ func TestObsMuxServesMetrics(t *testing.T) {
 }
 
 // TestObsMuxRouteComposition pins the full observability surface on one
-// mux: JSON snapshot, Prometheus exposition, expvar, and (when requested)
+// mux: JSON snapshot, Prometheus exposition and (when requested)
 // pprof all coexist, and the Prometheus output parses as valid text
 // format with the expected families.
 func TestObsMuxRouteComposition(t *testing.T) {
@@ -113,12 +113,6 @@ func TestObsMuxRouteComposition(t *testing.T) {
 		if !found {
 			t.Errorf("family %s missing from exposition: %v", want, names)
 		}
-	}
-
-	// /debug/vars: expvar view including the published bist var.
-	code, body = get(t, base+"/debug/vars")
-	if code != http.StatusOK || !strings.Contains(string(body), `"bist"`) {
-		t.Errorf("/debug/vars: status %d, has bist var %v", code, strings.Contains(string(body), `"bist"`))
 	}
 
 	// pprof was requested on this mux, so it serves.

@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs/trace"
+)
 
 // The disabled benchmarks are the package's contract with the LMS hot
 // loop: a disabled instrument must cost one atomic load and zero
@@ -29,14 +33,17 @@ func BenchmarkObsDisabledHistogram(b *testing.B) {
 	}
 }
 
-func BenchmarkObsDisabledSpan(b *testing.B) {
+// BenchmarkObsDisabledStage is a pipeline stage with metrics off and no
+// trace recording: two atomic loads, no clock read, 0 allocs.
+func BenchmarkObsDisabledStage(b *testing.B) {
 	prev := SetEnabled(false)
 	defer SetEnabled(prev)
-	h := newHistogram(LatencyBuckets)
+	st := NewStage("bench.stage", "bench.stage.seconds")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Start().End()
+		sp := st.Start(trace.Root)
+		sp.End()
 	}
 }
 
@@ -86,13 +93,14 @@ func BenchmarkObsEnabledHistogram(b *testing.B) {
 	}
 }
 
-func BenchmarkObsEnabledSpan(b *testing.B) {
+func BenchmarkObsEnabledStage(b *testing.B) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
-	h := newHistogram(LatencyBuckets)
+	st := NewStage("bench.stage", "bench.stage.seconds")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Start().End()
+		sp := st.Start(trace.Root)
+		sp.End()
 	}
 }

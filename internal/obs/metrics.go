@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs/trace"
 )
 
 // Counter is a monotonically increasing event count. The zero value is
@@ -132,16 +134,6 @@ func (h *Histogram) Count() int64 { return h.n.Load() }
 // Sum returns the total of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Start opens a latency span feeding this histogram in seconds. The
-// returned Span is a value (no allocation); call End to record. When
-// collection is disabled the span is inert and End is free.
-func (h *Histogram) Start() Span {
-	if !enabled.Load() {
-		return Span{}
-	}
-	return Span{h: h, t0: time.Now()}
-}
-
 func (h *Histogram) reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
@@ -150,19 +142,51 @@ func (h *Histogram) reset() {
 	h.sum.Store(0)
 }
 
-// Span is one in-flight latency measurement. The zero Span (from a
-// disabled Start) records nothing.
-type Span struct {
+// Stage is the one instrument of a timed pipeline stage: a trace span (the
+// stage's place on a run's timeline) and a latency histogram (its cost on
+// aggregate) opened and closed together, so a stage is declared once and
+// timed at one site.
+type Stage struct {
+	name trace.NameID
+	h    *Histogram
+}
+
+// NewStage interns traceName and registers histName in the default
+// registry with LatencyBuckets.
+func NewStage(traceName, histName string) *Stage {
+	return &Stage{name: trace.Intern(traceName), h: H(histName, LatencyBuckets)}
+}
+
+// StageSpan is one in-flight stage; use it as an addressable local. With
+// metrics and tracing both off it is inert: no clock read, no allocation.
+type StageSpan struct {
+	tr trace.Span
 	h  *Histogram
 	t0 time.Time
 }
 
-// End records the elapsed time since Start into the histogram, in seconds.
-// End on a zero Span is a no-op, so callers never need to re-check the
-// enabled flag.
-func (s Span) End() {
-	if s.h != nil {
-		s.h.Observe(time.Since(s.t0).Seconds())
+// Start opens the stage under parent: a trace span when a recording is
+// active, a histogram timer when collection is enabled.
+func (s *Stage) Start(parent trace.Ctx) (sp StageSpan) {
+	if enabled.Load() {
+		sp.h, sp.t0 = s.h, time.Now()
+	}
+	sp.tr = trace.Start(parent, s.name)
+	return
+}
+
+// Ctx returns the context the stage's child spans start from.
+func (sp *StageSpan) Ctx() trace.Ctx { return sp.tr.Ctx() }
+
+// SetAttr annotates the trace span (no-op when not tracing).
+func (sp *StageSpan) SetAttr(key, val string) { sp.tr.SetAttr(key, val) }
+
+// End closes the trace span and records the elapsed seconds into the
+// histogram. Call it exactly once.
+func (sp *StageSpan) End() {
+	sp.tr.End()
+	if sp.h != nil {
+		sp.h.Observe(time.Since(sp.t0).Seconds())
 	}
 }
 

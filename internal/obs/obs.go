@@ -1,6 +1,7 @@
 // Package obs is the repository's observability substrate: atomic
 // counters, gauges and fixed-bucket histograms in a process-wide registry,
-// plus a Span timer for stage-level latency. It exists so the questions the
+// plus a Stage handle that times a pipeline stage into one histogram and
+// one trace span (internal/obs/trace) at once. It exists so the questions the
 // paper's evaluation asks about work — how many cost evaluations Algorithm 1
 // spent, whether the plan cache is hot, whether the reconstructor pool is
 // recycling — can be answered on a live run instead of re-derived offline.

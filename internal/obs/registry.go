@@ -178,12 +178,3 @@ func (r *Registry) CounterNames() []string {
 func MarshalSnapshot() ([]byte, error) {
 	return testkit.MarshalCanonical(def.Snapshot())
 }
-
-// ExpvarFunc adapts the default registry to expvar's Func variable type:
-// expvar.Publish("bist", expvar.Func(obs.ExpvarFunc())) exposes the
-// snapshot under /debug/vars without this package importing expvar (and
-// thus without every instrumented binary inheriting expvar's handler
-// registration side effects).
-func ExpvarFunc() func() any {
-	return func() any { return def.Snapshot() }
-}
