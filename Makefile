@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCostFusedVsSerial -fuzztime=10s ./internal/skew
 	$(GO) test -run='^$$' -fuzz=FuzzStimulusSpecRoundTrip -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseShard -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzSRRCTapsVsAt -fuzztime=10s ./internal/modem
 
 # golden-update regenerates the committed golden vectors after an intended
 # numeric change. Inspect the diff before committing.

@@ -181,7 +181,6 @@ type Campaign struct {
 	unitsErrored  int64
 	sinceCkpt     int
 	matrix        []byte // canonical DetectionMatrix once done
-	metricsSnap   []byte // obs snapshot taken when the campaign ended
 	traceRec      *trace.Recording
 
 	tel     *telemetry       // rolling-window SLO view, fed by OnCellDone
@@ -535,11 +534,6 @@ func (s *Server) runCampaign(c *Campaign) {
 	}
 
 	s.writeCheckpoint(c) // final checkpoint, regardless of cadence
-	if snap, err := obs.MarshalSnapshot(); err == nil {
-		c.mu.Lock()
-		c.metricsSnap = snap
-		c.mu.Unlock()
-	}
 
 	c.mu.Lock()
 	state := c.state

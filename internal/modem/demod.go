@@ -15,14 +15,14 @@ import (
 // envelope this implements the SRRC matched filter whose cascade is the
 // zero-ISI raised cosine, so y[k] recovers the transmitted symbols.
 type MatchedFilter struct {
-	Pulse      Pulse
+	Pulse      *SRRC
 	Oversample int
 	energy     float64
 }
 
 // NewMatchedFilter builds a matched filter for the pulse; oversample < 4
 // defaults to 16.
-func NewMatchedFilter(p Pulse, oversample int) (*MatchedFilter, error) {
+func NewMatchedFilter(p *SRRC, oversample int) (*MatchedFilter, error) {
 	if p == nil {
 		return nil, fmt.Errorf("modem: matched filter needs a pulse")
 	}

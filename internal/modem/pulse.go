@@ -3,32 +3,38 @@ package modem
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/dsp"
 )
 
-// Pulse is a continuous-time pulse-shaping filter impulse response.
-type Pulse interface {
-	// At evaluates the pulse at time t (seconds), centred at t = 0.
-	At(t float64) float64
-	// SymbolPeriod returns Ts.
-	SymbolPeriod() float64
-	// SpanSymbols returns the one-sided truncation span in symbol periods:
-	// the pulse is treated as zero for |t| > SpanSymbols * Ts.
-	SpanSymbols() int
-}
+// maxSpan is the largest one-sided SRRC span NewSRRC accepts. It bounds the
+// tap bank a ShapedEnvelope evaluates per instant, so that bank fits a
+// fixed stack buffer.
+const maxSpan = 32
 
 // SRRC is the square-root raised cosine pulse with roll-off Alpha used by
 // the paper's test signal (alpha = 0.5, 10 MHz symbol rate). The pulse is
-// normalised to unit peak: At(0) = 1.
+// normalised to unit peak: At(0) = 1. Build it with NewSRRC and treat the
+// fields as read-only: Taps relies on constants derived from them.
 type SRRC struct {
 	Ts    float64 // symbol period, seconds
 	Alpha float64 // roll-off in (0, 1]
 	Span  int     // one-sided truncation span in symbols
 	peak  float64
+	// bank holds the integer-offset halves of the angle-addition split
+	// Taps uses, one entry per tap m = -Span .. Span-1. It is built once
+	// in NewSRRC and never written again, so concurrent Taps calls are safe.
+	bank []srrcTap
 }
 
-// NewSRRC builds an SRRC pulse; span <= 0 defaults to 8 symbols.
+// srrcTap holds sin/cos of pi·m·(1-alpha) and pi·m·(1+alpha) for one
+// integer tap offset m.
+type srrcTap struct {
+	m          float64
+	sinL, cosL float64 // pi·m·(1-alpha)
+	sinH, cosH float64 // pi·m·(1+alpha)
+}
+
+// NewSRRC builds an SRRC pulse; span <= 0 defaults to 8 symbols and a span
+// above maxSpan is rejected.
 func NewSRRC(ts, alpha float64, span int) (*SRRC, error) {
 	if ts <= 0 {
 		return nil, fmt.Errorf("modem: SRRC: Ts %g must be positive", ts)
@@ -39,14 +45,25 @@ func NewSRRC(ts, alpha float64, span int) (*SRRC, error) {
 	if span <= 0 {
 		span = 8
 	}
+	if span > maxSpan {
+		return nil, fmt.Errorf("modem: SRRC: span %d above the %d-symbol maximum", span, maxSpan)
+	}
 	p := &SRRC{Ts: ts, Alpha: alpha, Span: span, peak: 1}
 	p.peak = p.raw(0)
+	p.bank = make([]srrcTap, 2*span)
+	for j := range p.bank {
+		m := float64(j - span)
+		b := &p.bank[j]
+		b.m = m
+		b.sinL, b.cosL = math.Sincos(math.Pi * m * (1 - alpha))
+		b.sinH, b.cosH = math.Sincos(math.Pi * m * (1 + alpha))
+	}
 	return p, nil
 }
 
-// raw evaluates the textbook unit-energy SRRC expression (up to a constant).
-func (p *SRRC) raw(t float64) float64 {
-	x := t / p.Ts
+// raw evaluates the textbook unit-energy SRRC expression (up to a constant)
+// at x = t/Ts symbol periods.
+func (p *SRRC) raw(x float64) float64 {
 	a := p.Alpha
 	// Singularity at x = +-1/(4a).
 	if q := math.Abs(4 * a * x); math.Abs(q-1) < 1e-8 {
@@ -78,104 +95,72 @@ func edgeTaper(t, ts float64, span int) float64 {
 	}
 }
 
-// At implements Pulse (peak-normalised, smoothly truncated to the span).
+// At evaluates the pulse at time t (seconds), centred at t = 0,
+// peak-normalised and smoothly truncated to the span. It is the per-instant
+// reference form of Taps.
 func (p *SRRC) At(t float64) float64 {
 	w := edgeTaper(t, p.Ts, p.Span)
 	if w == 0 {
 		return 0
 	}
-	return w * p.raw(t) / p.peak
+	return w * p.raw(t/p.Ts) / p.peak
 }
 
-// SymbolPeriod implements Pulse.
+// nearZero is the |x| below which Taps evaluates a tap through raw; see
+// Taps.
+const nearZero = 1e-4
+
+// Taps writes the pulse at every tap that shares the fractional symbol
+// offset f in [0, 1): out[j] = At((m+f)·Ts) with m = j - Span, for
+// j = 0 .. 2·Span-1. Those are all the taps of the span that can be
+// nonzero. out must have length 2·Span.
+//
+// With x = m + f, angle addition splits each trig term of raw into an
+// f-only factor and a per-m constant from the bank:
+//
+//	sin(pi·x·(1-a)) = sin(pi·f·(1-a))·cos(pi·m·(1-a)) + cos(pi·f·(1-a))·sin(pi·m·(1-a))
+//	cos(pi·x·(1+a)) = cos(pi·f·(1+a))·cos(pi·m·(1+a)) - sin(pi·f·(1+a))·sin(pi·m·(1+a))
+//
+// and the edge taper of the two end taps is (1 -+ cos(pi·f))/2. The whole
+// bank then costs two Sincos and one Cos, plus one division per tap.
+//
+// Two kinds of tap go through raw instead. A tap within 1e-8 of the
+// singularity |4·a·x| = 1 takes raw's limit there, as At does. A tap with
+// |x| < nearZero also uses raw: at m = -1 and f -> 1 the split numerator
+// cancels to O(x) while its rounding stays O(1e-16), so the quotient would
+// lose digits that raw's direct form keeps.
+func (p *SRRC) Taps(f float64, out []float64) {
+	a := p.Alpha
+	sL, cL := math.Sincos(math.Pi * f * (1 - a))
+	sH, cH := math.Sincos(math.Pi * f * (1 + a))
+	piPeak := math.Pi * p.peak
+	out = out[:len(p.bank)]
+	for j := range p.bank {
+		b := &p.bank[j]
+		x := b.m + f
+		q := 4 * a * x
+		if math.Abs(math.Abs(q)-1) < 1e-8 || math.Abs(x) < nearZero {
+			out[j] = p.raw(x) / p.peak
+			continue
+		}
+		num := sL*b.cosL + cL*b.sinL + q*(cH*b.cosH-sH*b.sinH)
+		out[j] = num / (piPeak * x * (1 - q*q))
+	}
+	c := math.Cos(math.Pi * f)
+	out[0] *= 0.5 * (1 - c)
+	out[len(out)-1] *= 0.5 * (1 + c)
+}
+
+// SymbolPeriod returns Ts.
 func (p *SRRC) SymbolPeriod() float64 { return p.Ts }
 
-// SpanSymbols implements Pulse.
+// SpanSymbols returns the one-sided truncation span in symbol periods: the
+// pulse is zero for |t| >= SpanSymbols * Ts.
 func (p *SRRC) SpanSymbols() int { return p.Span }
-
-// RC is the raised-cosine (full Nyquist) pulse: the cascade of two SRRC
-// filters. It satisfies the zero-ISI property At(k Ts) = 0 for k != 0.
-type RC struct {
-	Ts    float64
-	Alpha float64
-	Span  int
-}
-
-// NewRC builds a raised-cosine pulse; span <= 0 defaults to 8.
-func NewRC(ts, alpha float64, span int) (*RC, error) {
-	if ts <= 0 {
-		return nil, fmt.Errorf("modem: RC: Ts %g must be positive", ts)
-	}
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("modem: RC: alpha %g outside (0, 1]", alpha)
-	}
-	if span <= 0 {
-		span = 8
-	}
-	return &RC{Ts: ts, Alpha: alpha, Span: span}, nil
-}
-
-// At implements Pulse.
-func (p *RC) At(t float64) float64 {
-	w := edgeTaper(t, p.Ts, p.Span)
-	if w == 0 {
-		return 0
-	}
-	x := t / p.Ts
-	a := p.Alpha
-	den := 1 - 4*a*a*x*x
-	if math.Abs(den) < 1e-8 {
-		// Limit at x = +-1/(2a): (pi/4) sinc(1/(2a)).
-		return w * math.Pi / 4 * dsp.Sinc(1/(2*a))
-	}
-	return w * dsp.Sinc(x) * math.Cos(math.Pi*a*x) / den
-}
-
-// SymbolPeriod implements Pulse.
-func (p *RC) SymbolPeriod() float64 { return p.Ts }
-
-// SpanSymbols implements Pulse.
-func (p *RC) SpanSymbols() int { return p.Span }
-
-// Gaussian is the Gaussian pulse used by GMSK-like shaping, parameterised by
-// the bandwidth-time product BT.
-type Gaussian struct {
-	Ts   float64
-	BT   float64
-	Span int
-	sig  float64
-}
-
-// NewGaussian builds a Gaussian pulse; span <= 0 defaults to 4.
-func NewGaussian(ts, bt float64, span int) (*Gaussian, error) {
-	if ts <= 0 || bt <= 0 {
-		return nil, fmt.Errorf("modem: Gaussian: Ts %g and BT %g must be positive", ts, bt)
-	}
-	if span <= 0 {
-		span = 4
-	}
-	// sigma = sqrt(ln 2) / (2 pi B), B = BT / Ts.
-	sigma := math.Sqrt(math.Ln2) / (2 * math.Pi * bt / ts)
-	return &Gaussian{Ts: ts, BT: bt, Span: span, sig: sigma}, nil
-}
-
-// At implements Pulse.
-func (p *Gaussian) At(t float64) float64 {
-	if math.Abs(t) > float64(p.Span)*p.Ts {
-		return 0
-	}
-	return math.Exp(-t * t / (2 * p.sig * p.sig))
-}
-
-// SymbolPeriod implements Pulse.
-func (p *Gaussian) SymbolPeriod() float64 { return p.Ts }
-
-// SpanSymbols implements Pulse.
-func (p *Gaussian) SpanSymbols() int { return p.Span }
 
 // PulseEnergy numerically integrates p^2 over its support (for matched
 // filter normalisation), using oversample points per symbol period.
-func PulseEnergy(p Pulse, oversample int) float64 {
+func PulseEnergy(p *SRRC, oversample int) float64 {
 	if oversample < 2 {
 		oversample = 16
 	}

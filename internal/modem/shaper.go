@@ -14,7 +14,7 @@ import (
 // symbol memory, exactly like a looping arbitrary waveform generator.
 type ShapedEnvelope struct {
 	Symbols []complex128
-	Pulse   Pulse
+	Pulse   *SRRC
 	// Cyclic selects periodic extension of the symbol stream.
 	Cyclic bool
 	// Gain scales the envelope (1 = unscaled).
@@ -22,7 +22,7 @@ type ShapedEnvelope struct {
 }
 
 // NewShapedEnvelope validates and builds a shaped envelope with unit gain.
-func NewShapedEnvelope(symbols []complex128, pulse Pulse, cyclic bool) (*ShapedEnvelope, error) {
+func NewShapedEnvelope(symbols []complex128, pulse *SRRC, cyclic bool) (*ShapedEnvelope, error) {
 	if len(symbols) == 0 {
 		return nil, fmt.Errorf("modem: shaped envelope needs at least one symbol")
 	}
@@ -36,10 +36,13 @@ func NewShapedEnvelope(symbols []complex128, pulse Pulse, cyclic bool) (*ShapedE
 	return &ShapedEnvelope{Symbols: symbols, Pulse: pulse, Cyclic: cyclic, Gain: 1}, nil
 }
 
-// At implements sig.Envelope.
+// At implements sig.Envelope. Every tap of one instant shares the
+// fractional symbol offset f, so one SRRC.Taps call yields the whole pulse
+// bank; tap j weights symbol kc + Span - j, which the loop walks downwards.
+// The bank lives on the stack, so At makes no heap allocation.
 func (s *ShapedEnvelope) At(t float64) complex128 {
-	ts := s.Pulse.SymbolPeriod()
-	span := s.Pulse.SpanSymbols()
+	p := s.Pulse
+	ts := p.Ts
 	n := len(s.Symbols)
 	if s.Cyclic {
 		// Reduce once so evaluations are bit-identical across periods;
@@ -51,22 +54,36 @@ func (s *ShapedEnvelope) At(t float64) complex128 {
 			t += period
 		}
 	}
-	kc := int(math.Floor(t / ts))
-	var acc complex128
-	for k := kc - span; k <= kc+span+1; k++ {
-		idx := k
-		if s.Cyclic {
-			idx = ((k % n) + n) % n
-		} else if k < 0 || k >= n {
-			continue
+	u := t / ts
+	kc := math.Floor(u)
+	var buf [2 * maxSpan]float64
+	taps := buf[:2*p.Span]
+	p.Taps(u-kc, taps)
+	k := int(kc) + p.Span
+	var re, im float64
+	if s.Cyclic {
+		idx := k % n
+		if idx < 0 {
+			idx += n
 		}
-		p := s.Pulse.At(t - float64(k)*ts)
-		if p == 0 {
-			continue
+		for _, w := range taps {
+			a := s.Symbols[idx]
+			re += w * real(a)
+			im += w * imag(a)
+			if idx--; idx < 0 {
+				idx = n - 1
+			}
 		}
-		acc += s.Symbols[idx] * complex(p, 0)
+	} else {
+		for j, w := range taps {
+			if idx := k - j; idx >= 0 && idx < n {
+				a := s.Symbols[idx]
+				re += w * real(a)
+				im += w * imag(a)
+			}
+		}
 	}
-	return acc * complex(s.Gain, 0)
+	return complex(re*s.Gain, im*s.Gain)
 }
 
 // Duration returns the time extent of the (non-cyclic) burst including the
@@ -78,8 +95,8 @@ func (s *ShapedEnvelope) Duration() float64 {
 
 // AvgPower estimates the mean envelope power E[|env|^2] by sampling nPts
 // instants across one symbol-stream period (or the burst for non-cyclic).
-// The probes run concurrently, so the pulse must be safe for concurrent
-// use (every Pulse in this package is pure in t).
+// The probes run concurrently; SRRC.Taps only reads the pulse, so that is
+// safe.
 func (s *ShapedEnvelope) AvgPower(nPts int) float64 {
 	if nPts < 2 {
 		nPts = 256
