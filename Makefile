@@ -146,7 +146,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReconstructRetune -fuzztime=10s ./internal/pnbs
 	$(GO) test -run='^$$' -fuzz=FuzzCostFusedVsSerial -fuzztime=10s ./internal/skew
 	$(GO) test -run='^$$' -fuzz=FuzzStimulusSpecRoundTrip -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzParseGrid -fuzztime=10s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz=FuzzParseCheckpoint -fuzztime=10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz=FuzzParseShard -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzFleetParseSpec -fuzztime=10s ./internal/fleet
+	$(GO) test -run='^$$' -fuzz=FuzzCanonicalString -fuzztime=10s ./internal/testkit
 	$(GO) test -run='^$$' -fuzz=FuzzSRRCTapsVsAt -fuzztime=10s ./internal/modem
 
 # golden-update regenerates the committed golden vectors after an intended

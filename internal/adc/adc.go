@@ -188,15 +188,6 @@ func (a *ADC) DecodeInt16(c int16) float64 {
 	return float64(c) / 2 * a.LSB()
 }
 
-// SNRIdealDB returns the ideal quantization SNR 6.02 N + 1.76 dB for a
-// full-scale sinusoid, or +Inf semantics (400) for an unquantized ADC.
-func (a *ADC) SNRIdealDB() float64 {
-	if a.cfg.Bits == 0 {
-		return 400
-	}
-	return 6.02*float64(a.cfg.Bits) + 1.76
-}
-
 // Clock generates sampling instants t[n] = Phase + n * Period, optionally
 // perturbed by Gaussian edge jitter. It models the paper's delayed clock
 // pair: two Clocks sharing a Period but offset by the DCDE delay D.
@@ -231,6 +222,3 @@ func (c *Clock) Times(n0, n int) []float64 {
 	}
 	return out
 }
-
-// Rate returns the sample rate in Hz.
-func (c *Clock) Rate() float64 { return 1 / c.Period }

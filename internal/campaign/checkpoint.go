@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -80,13 +78,8 @@ func (c *Checkpoint) MarshalCanonical() ([]byte, error) {
 // corrupted or wrong file must fail loudly, not resume quietly).
 func ParseCheckpoint(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := testkit.UnmarshalStrict(data, &c); err != nil {
 		return nil, fmt.Errorf("campaign: parse checkpoint: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("campaign: parse checkpoint: trailing data")
 	}
 	return &c, nil
 }

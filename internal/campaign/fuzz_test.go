@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -42,6 +43,89 @@ func FuzzStimulusSpecRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(c1, c2) {
 			t.Fatalf("canonical form not a fixed point:\n%s\n%s", c1, c2)
+		}
+	})
+}
+
+// FuzzParseGrid: ParseGrid never panics, and any grid it accepts
+// round-trips through MarshalCanonical and ParseGrid to an equal value.
+func FuzzParseGrid(f *testing.F) {
+	for _, g := range []Grid{DefaultGrid(), planGrid()} {
+		b, err := g.MarshalCanonical()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"Stimuli":[]}`))
+	f.Add([]byte(`{"Faults":["dead-gain"],"Units":0,"Scale":0}`))
+	f.Add([]byte(`{"Stimuli":null,"Seed":-1,"YieldThreshold":1}]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ParseGrid(data)
+		if err != nil {
+			return
+		}
+		b, err := g.MarshalCanonical()
+		if err != nil {
+			t.Fatalf("accepted grid failed to marshal: %v", err)
+		}
+		g2, err := ParseGrid(b)
+		if err != nil {
+			t.Fatalf("canonical form rejected: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(g, g2) {
+			t.Fatalf("grid changed in the round trip:\n%+v\n%+v", g, g2)
+		}
+	})
+}
+
+// FuzzParseCheckpoint: ParseCheckpoint and Validate against a small plan
+// never panic, and any checkpoint ParseCheckpoint accepts round-trips
+// through MarshalCanonical to an equal value with the same verdict.
+func FuzzParseCheckpoint(f *testing.F) {
+	p, err := NewPlan(planGrid())
+	if err != nil {
+		f.Fatal(err)
+	}
+	ck, err := NewCheckpoint(p, 0, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := ck.MarshalCanonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty)
+	for _, c := range p.Cells {
+		ck.Add(CellResult{Stimulus: c.Stimulus.Name, Fault: c.Fault.Name, Units: p.Grid.Units, Rejected: 1, DetectionRate: 1})
+	}
+	full, err := ck.MarshalCanonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add([]byte(`{"GridHash":"x","ShardIndex":1,"ShardCount":1,"Cells":[{"Stimulus":"a","Units":-1}]}`))
+	f.Add([]byte(`{"ShardCount":0}}`))
+	f.Add([]byte("{\"GridHash\":\"\x7f\"}")) // raw DEL: strconv.Quote writes the non-JSON \x7f
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ParseCheckpoint(data)
+		if err != nil {
+			return
+		}
+		verr := c.Validate(p)
+		b, err := c.MarshalCanonical()
+		if err != nil {
+			t.Fatalf("accepted checkpoint failed to marshal: %v", err)
+		}
+		c2, err := ParseCheckpoint(b)
+		if err != nil {
+			t.Fatalf("canonical form rejected: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(c, c2) {
+			t.Fatalf("checkpoint changed in the round trip:\n%+v\n%+v", c, c2)
+		}
+		if verr2 := c2.Validate(p); (verr == nil) != (verr2 == nil) {
+			t.Fatalf("round trip changed the verdict: %v vs %v", verr, verr2)
 		}
 	})
 }

@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -93,13 +91,8 @@ func (g Grid) MarshalCanonical() ([]byte, error) {
 // Unknown fields are rejected.
 func ParseGrid(data []byte) (Grid, error) {
 	var g Grid
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
+	if err := testkit.UnmarshalStrict(data, &g); err != nil {
 		return Grid{}, fmt.Errorf("campaign: parse grid: %w", err)
-	}
-	if dec.More() {
-		return Grid{}, fmt.Errorf("campaign: parse grid: trailing data")
 	}
 	g = g.withDefaults()
 	if err := g.Validate(); err != nil {

@@ -14,8 +14,6 @@
 package campaign
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -162,13 +160,8 @@ func (s StimulusSpec) MarshalCanonical() ([]byte, error) {
 // run a default.
 func ParseSpec(data []byte) (StimulusSpec, error) {
 	var s StimulusSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := testkit.UnmarshalStrict(data, &s); err != nil {
 		return StimulusSpec{}, fmt.Errorf("campaign: parse stimulus: %w", err)
-	}
-	if dec.More() {
-		return StimulusSpec{}, fmt.Errorf("campaign: parse stimulus: trailing data")
 	}
 	if err := s.Validate(); err != nil {
 		return StimulusSpec{}, err

@@ -426,7 +426,7 @@ func (b *BIST) envelopeGrid(r *pnbs.Reconstructor, n int) (env []complex128, fsE
 		b.gridBuf = getGridBuf(n * over)
 	}
 	raw := b.gridBuf[:n*over]
-	r.EnvelopeGridInto(b.cfg.Fc, t0, fsHi, raw)
+	r.EnvelopeGridInto(b.cfg.Fc, t0, over, raw)
 	lp, err := decimLowpass(over)
 	if err != nil {
 		return nil, 0, 0, err

@@ -31,7 +31,6 @@ func ExampleWelchComplex() {
 	if err != nil {
 		panic(err)
 	}
-	_, fpk := spec.PeakBin()
-	fmt.Printf("peak at %.0f kHz\n", fpk/1e3)
-	// Output: peak at 125 kHz
+	fmt.Printf("power within 5 kHz of 125 kHz: %.2f\n", spec.PowerInBand(120e3, 130e3))
+	// Output: power within 5 kHz of 125 kHz: 1.00
 }

@@ -15,20 +15,21 @@ func TestDesignLowpassResponse(t *testing.T) {
 	if g := cabs(f.Response(0)); math.Abs(g-1) > 1e-9 {
 		t.Errorf("DC gain = %g", g)
 	}
+	magDB := func(nu float64) float64 { return 20 * math.Log10(cabs(f.Response(nu))) }
 	// Passband flat within 1 dB.
 	for _, nu := range []float64{0.01, 0.05, 0.08} {
-		if db := f.MagnitudeDB(nu); db < -1 || db > 1 {
+		if db := magDB(nu); db < -1 || db > 1 {
 			t.Errorf("passband %g: %g dB", nu, db)
 		}
 	}
 	// Stopband below -50 dB past the transition.
 	for _, nu := range []float64{0.16, 0.2, 0.3, 0.45} {
-		if db := f.MagnitudeDB(nu); db > -50 {
+		if db := magDB(nu); db > -50 {
 			t.Errorf("stopband %g: %g dB", nu, db)
 		}
 	}
 	// -6 dB point near the cutoff.
-	if db := f.MagnitudeDB(0.1); math.Abs(db-(-6)) > 1.5 {
+	if db := magDB(0.1); math.Abs(db-(-6)) > 1.5 {
 		t.Errorf("cutoff attenuation %g dB, want ~ -6", db)
 	}
 }
@@ -42,27 +43,6 @@ func TestDesignLowpassErrors(t *testing.T) {
 	}
 	if _, err := DesignLowpass(11, 0, Hann, 0); err == nil {
 		t.Error("cutoff 0 should fail")
-	}
-}
-
-func TestDesignBandpassResponse(t *testing.T) {
-	f, err := DesignBandpass(201, 0.15, 0.25, KaiserWin, KaiserBeta(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db := f.MagnitudeDB(0.2); math.Abs(db) > 1 {
-		t.Errorf("mid-band gain %g dB", db)
-	}
-	for _, nu := range []float64{0.02, 0.08, 0.33, 0.45} {
-		if db := f.MagnitudeDB(nu); db > -50 {
-			t.Errorf("bandpass stopband %g: %g dB", nu, db)
-		}
-	}
-	if _, err := DesignBandpass(11, 0.3, 0.2, Hann, 0); err == nil {
-		t.Error("inverted edges should fail")
-	}
-	if _, err := DesignBandpass(0, 0.1, 0.2, Hann, 0); err == nil {
-		t.Error("zero taps should fail")
 	}
 }
 
@@ -177,12 +157,5 @@ func TestFIRGroupDelay(t *testing.T) {
 	}
 	if f.Len() != 61 {
 		t.Errorf("Len %d", f.Len())
-	}
-}
-
-func TestMagnitudeDBClamp(t *testing.T) {
-	f := &FIR{Taps: []float64{0}}
-	if db := f.MagnitudeDB(0.1); db != -400 {
-		t.Errorf("zero filter magnitude %g, want clamp at -400", db)
 	}
 }

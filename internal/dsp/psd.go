@@ -2,7 +2,7 @@ package dsp
 
 import (
 	"fmt"
-	"math"
+
 	"sort"
 
 	"repro/internal/par"
@@ -47,15 +47,6 @@ func (s *Spectrum) PowerInBand(f1, f2 float64) float64 {
 	return p
 }
 
-// TotalPower integrates the whole PSD.
-func (s *Spectrum) TotalPower() float64 {
-	p := 0.0
-	for _, v := range s.PSD {
-		p += v * s.BinWidth
-	}
-	return p
-}
-
 // PSDdB returns the PSD in dB (10log10), clamped at -400 dB, re 1 V^2/Hz.
 func (s *Spectrum) PSDdB() []float64 {
 	out := make([]float64, len(s.PSD))
@@ -63,21 +54,6 @@ func (s *Spectrum) PSDdB() []float64 {
 		out[i] = PowerDB(v)
 	}
 	return out
-}
-
-// PeakBin returns the index and frequency of the largest PSD bin.
-func (s *Spectrum) PeakBin() (idx int, freq float64) {
-	best := math.Inf(-1)
-	for i, v := range s.PSD {
-		if v > best {
-			best = v
-			idx = i
-		}
-	}
-	if len(s.Freqs) > 0 {
-		freq = s.Freqs[idx]
-	}
-	return idx, freq
 }
 
 // WelchConfig configures Welch's averaged-periodogram PSD estimator.
@@ -270,9 +246,4 @@ func WelchReal(x []float64, fs float64, cfg WelchConfig) (*Spectrum, error) {
 		freeHalf <- half
 	})
 	return spectrumFromPSD(psd, fs, 0), nil
-}
-
-// Periodogram is the single-segment special case of Welch.
-func Periodogram(x []complex128, fs, centre float64, win WindowType, beta float64) (*Spectrum, error) {
-	return WelchComplex(x, fs, centre, WelchConfig{SegmentLen: len(x), Win: win, Beta: beta})
 }

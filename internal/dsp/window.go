@@ -134,46 +134,3 @@ func KaiserBeta(attenDB float64) float64 {
 		return 0
 	}
 }
-
-// KaiserOrder estimates the FIR order needed for the given stop-band
-// attenuation (dB) and normalised transition width (cycles/sample).
-func KaiserOrder(attenDB, transWidth float64) int {
-	if transWidth <= 0 {
-		panic("dsp: KaiserOrder requires transWidth > 0")
-	}
-	n := (attenDB - 7.95) / (2.285 * 2 * math.Pi * transWidth)
-	if n < 1 {
-		n = 1
-	}
-	return int(math.Ceil(n))
-}
-
-// CoherentGain is the mean of the window coefficients; dividing a windowed
-// DFT magnitude by n*CoherentGain recovers tone amplitudes.
-func CoherentGain(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range w {
-		s += v
-	}
-	return s / float64(len(w))
-}
-
-// NoiseBandwidth returns the equivalent noise bandwidth of the window in
-// bins: N * sum(w^2) / sum(w)^2. Used to normalise Welch PSD estimates.
-func NoiseBandwidth(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	var s, s2 float64
-	for _, v := range w {
-		s += v
-		s2 += v * v
-	}
-	if s == 0 {
-		return 0
-	}
-	return float64(len(w)) * s2 / (s * s)
-}

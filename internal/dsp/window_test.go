@@ -126,38 +126,6 @@ func TestKaiserBetaFormulaRegions(t *testing.T) {
 	}
 }
 
-func TestKaiserOrderMonotonic(t *testing.T) {
-	if KaiserOrder(60, 0.01) <= KaiserOrder(60, 0.05) {
-		t.Error("narrower transition must need a higher order")
-	}
-	if KaiserOrder(80, 0.01) <= KaiserOrder(40, 0.01) {
-		t.Error("more attenuation must need a higher order")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("KaiserOrder with zero width should panic")
-		}
-	}()
-	KaiserOrder(60, 0)
-}
-
-func TestCoherentGainAndNoiseBandwidth(t *testing.T) {
-	rect := Window(Rectangular, 64, 0)
-	if g := CoherentGain(rect); math.Abs(g-1) > 1e-12 {
-		t.Errorf("rect coherent gain = %g", g)
-	}
-	if nb := NoiseBandwidth(rect); math.Abs(nb-1) > 1e-12 {
-		t.Errorf("rect noise bandwidth = %g", nb)
-	}
-	hann := Window(Hann, 4096, 0)
-	if nb := NoiseBandwidth(hann); math.Abs(nb-1.5) > 0.01 {
-		t.Errorf("hann noise bandwidth = %g, want ~1.5", nb)
-	}
-	if CoherentGain(nil) != 0 || NoiseBandwidth(nil) != 0 {
-		t.Error("empty window edge cases")
-	}
-}
-
 func TestWindowTypeString(t *testing.T) {
 	if Rectangular.String() != "rectangular" || KaiserWin.String() != "kaiser" {
 		t.Error("WindowType.String mismatch")

@@ -12,7 +12,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -31,6 +30,7 @@ import (
 	"repro/internal/obs/provenance"
 	"repro/internal/obs/trace"
 	"repro/internal/par"
+	"repro/internal/testkit"
 )
 
 // Fleet instruments: campaign admission and outcome volume plus the cell
@@ -67,13 +67,8 @@ type Spec struct {
 // rejected — a typo in a fleet request must fail loudly.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := testkit.UnmarshalStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("fleet: parse spec: %w", err)
-	}
-	if dec.More() {
-		return Spec{}, fmt.Errorf("fleet: parse spec: trailing data")
 	}
 	return s, nil
 }

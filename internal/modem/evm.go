@@ -72,18 +72,3 @@ func NormalizeScaleAndPhase(measured, reference []complex128) ([]complex128, err
 	}
 	return out, nil
 }
-
-// SymbolErrorRate slices each measured symbol on the constellation and
-// counts decisions that differ from the reference decisions.
-func SymbolErrorRate(c *Constellation, measured, reference []complex128) (float64, error) {
-	if len(measured) != len(reference) || len(measured) == 0 {
-		return 0, fmt.Errorf("modem: SER: bad lengths %d, %d", len(measured), len(reference))
-	}
-	errs := 0
-	for i := range measured {
-		if c.Slice(measured[i]) != c.Slice(reference[i]) {
-			errs++
-		}
-	}
-	return float64(errs) / float64(len(measured)), nil
-}

@@ -286,14 +286,6 @@ func ForErr(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Map evaluates fn over [0, n) on the pool and returns the results in
-// index order.
-func Map[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
 // MapErr evaluates fn over [0, n) on the pool. It returns the results in
 // index order, or the error of the lowest-index failing call.
 func MapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {

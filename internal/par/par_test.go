@@ -30,8 +30,11 @@ func TestWorkersBounds(t *testing.T) {
 func TestMapDeterministicOrdering(t *testing.T) {
 	for _, w := range []int{1, 2, 7} {
 		prev := SetWorkers(w)
-		got := Map(100, func(i int) int { return i * i })
+		got, err := MapErr(100, func(i int) (int, error) { return i * i, nil })
 		SetWorkers(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, v, i*i)

@@ -1,6 +1,7 @@
 package pnbs
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/par"
@@ -8,11 +9,11 @@ import (
 
 // This file implements the uniform-grid evaluation path of the measure
 // stage. The BIST's spectral instruments (mask PSD, EVM, IRR) all evaluate
-// the reconstruction on grids t_i = t0 + i/fs with fs an integer multiple
-// of the capture rate: consecutive instants advance the tap window by
-// exactly one capture sample every `over` points, so the tap geometry —
-// and with the delay fixed after estimation, the entire per-tap factor
-// w(dt) S(dt) — repeats with period `over`. gridPrep folds window and
+// the reconstruction on grids t_i = t0 + i/fs with fs = over·B an integer
+// multiple of the capture rate B: consecutive instants advance the tap
+// window by exactly one capture sample every `over` points, so the tap
+// geometry — and with the delay fixed after estimation, the entire per-tap
+// factor w(dt) S(dt) — repeats with period `over`. gridPrep folds window and
 // kernel into one fused coefficient per tap per phase; a grid instant then
 // costs a single dot product of the 2h+1 coefficient pairs against the
 // capture, with no window, kernel, or trigonometric work in the loop.
@@ -24,10 +25,10 @@ import (
 // land on the expected uniform pattern, fall back to At per instant.
 
 // gridPrep holds the fused per-phase coefficient tables for one
-// (t0, fs, d) uniform grid.
+// (t0, over, d) uniform grid.
 type gridPrep struct {
-	t0, fs, d float64
-	over      int
+	t0, d float64
+	over  int
 	// n0Base[p] is the tap-center capture index of grid instant p; instant
 	// i = q*over + p has center n0Base[p] + q.
 	n0Base []int
@@ -36,20 +37,16 @@ type gridPrep struct {
 	a0, a1 []float64
 }
 
-// buildGridPrep constructs the per-phase tables, or returns nil when fs is
-// not (numerically) an integer multiple of the capture rate — the caller
-// then evaluates every instant through At.
-func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
-	over := int(math.Round(fs * r.tStep))
-	if over < 1 || math.Abs(fs*r.tStep-float64(over)) > 1e-9*float64(over) {
-		return nil
-	}
+// buildGridPrep constructs the per-phase tables of the grid at rate
+// over·B starting at t0.
+func (r *Reconstructor) buildGridPrep(t0 float64, over int) *gridPrep {
+	fs := float64(over) * r.kern.band.B
 	k := r.kern
 	h := r.opt.HalfTaps
 	nt := 2*h + 1
 	d := k.D()
 	g := &gridPrep{
-		t0: t0, fs: fs, d: d, over: over,
+		t0: t0, d: d, over: over,
 		n0Base: make([]int, over),
 		a0:     make([]float64, over*nt),
 		a1:     make([]float64, over*nt),
@@ -75,17 +72,15 @@ func (r *Reconstructor) buildGridPrep(t0, fs float64) *gridPrep {
 	return g
 }
 
-// gridFor returns the cached tables for this (t0, fs) grid at the current
-// delay, rebuilding on a miss (a Retune changes d and so invalidates). A
-// nil return means the grid is incommensurate with the capture rate.
-func (r *Reconstructor) gridFor(t0, fs float64) *gridPrep {
-	if g := r.grid.Load(); g != nil && g.t0 == t0 && g.fs == fs && g.d == r.kern.D() {
+// gridFor returns the cached tables for this (t0, over) grid at the
+// current delay, rebuilding on a miss (a Retune changes d and so
+// invalidates).
+func (r *Reconstructor) gridFor(t0 float64, over int) *gridPrep {
+	if g := r.grid.Load(); g != nil && g.t0 == t0 && g.over == over && g.d == r.kern.D() {
 		return g
 	}
-	g := r.buildGridPrep(t0, fs)
-	if g != nil {
-		r.grid.Store(g)
-	}
+	g := r.buildGridPrep(t0, over)
+	r.grid.Store(g)
 	return g
 }
 
@@ -115,24 +110,22 @@ func (g *gridPrep) at(r *Reconstructor, i int, t float64) float64 {
 }
 
 // EnvelopeGridInto evaluates the complex envelope around fc on the uniform
-// grid t_i = t0 + i/fs for i < len(out), by instantaneous analytic mixing
-// of the reconstruction: out[i] = 2·v·e^{−i2πfc t_i} with v the grid-path
-// value at t_i. The caller lowpasses/decimates the result (the 2fc image is
-// attenuated by subsequent PSD windowing or filtering). v comes from the
-// fused per-phase tables when the grid is commensurate with the capture
-// rate and from At otherwise; the instants fan out over the par pool and
-// the buffer is caller-provided, so the measure stage's repeated grids
-// stay allocation-free.
-func (r *Reconstructor) EnvelopeGridInto(fc, t0, fs float64, out []complex128) {
-	g := r.gridFor(t0, fs)
+// grid t_i = t0 + i/fs, fs = over·B, for i < len(out), by instantaneous
+// analytic mixing of the reconstruction: out[i] = 2·v·e^{−i2πfc t_i} with v
+// the value of the fused per-phase tables at t_i. The caller lowpasses and
+// decimates the result (the 2fc image is attenuated by subsequent PSD
+// windowing or filtering). The instants fan out over the par pool and the
+// buffer is caller-provided, so the measure stage's repeated grids stay
+// allocation-free. It panics when over < 1.
+func (r *Reconstructor) EnvelopeGridInto(fc, t0 float64, over int, out []complex128) {
+	if over < 1 {
+		panic(fmt.Sprintf("pnbs: grid oversampling factor %d < 1", over))
+	}
+	fs := float64(over) * r.kern.band.B
+	g := r.gridFor(t0, over)
 	par.For(len(out), func(i int) {
 		t := t0 + float64(i)/fs
-		var v float64
-		if g != nil {
-			v = g.at(r, i, t)
-		} else {
-			v = r.At(t)
-		}
+		v := g.at(r, i, t)
 		s, c := math.Sincos(2 * math.Pi * fc * t)
 		out[i] = complex(2*v*c, -2*v*s)
 	})

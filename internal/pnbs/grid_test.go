@@ -8,7 +8,7 @@ import (
 
 // envelopeOracle is the measure-stage envelope evaluated through the
 // per-instant At path: 2·At(t)·e^{−i2πf_c t}, with t = t0 + i/fs exactly as
-// EnvelopeGridInto forms it.
+// EnvelopeGridInto forms it (fs = over·B).
 func envelopeOracle(r *Reconstructor, fc, t0, fs float64, n int) []complex128 {
 	out := make([]complex128, n)
 	for i := range out {
@@ -39,10 +39,10 @@ func gridFixture(t *testing.T, d float64) (*Reconstructor, []float64, []float64)
 	return r, ch0, ch1
 }
 
-// TestEnvelopeGridMatchesAtOracle: on a grid commensurate with the capture
-// rate the fused per-phase tables agree with the At oracle to reassociated
-// rounding; on instants whose tap span is clamped, and on a grid the tables
-// cannot serve, the kernel falls back to At and must match it exactly.
+// TestEnvelopeGridMatchesAtOracle: on the oversampled grid the fused
+// per-phase tables agree with the At oracle to reassociated rounding; on
+// instants whose tap span is clamped the kernel falls back to At and must
+// match it exactly; an oversampling factor below 1 is rejected.
 func TestEnvelopeGridMatchesAtOracle(t *testing.T) {
 	r, _, _ := gridFixture(t, 180e-12)
 	fc := r.kern.band.Fc()
@@ -52,8 +52,8 @@ func TestEnvelopeGridMatchesAtOracle(t *testing.T) {
 		fs := 4 * r.kern.band.B
 		n := int((hi - lo) * fs)
 		got := make([]complex128, n)
-		r.EnvelopeGridInto(fc, lo, fs, got)
-		if g := r.grid.Load(); g == nil || g.over != 4 || g.t0 != lo || g.fs != fs {
+		r.EnvelopeGridInto(fc, lo, 4, got)
+		if g := r.grid.Load(); g == nil || g.over != 4 || g.t0 != lo {
 			t.Fatalf("4x grid did not build cached tables: %+v", g)
 		}
 		want := envelopeOracle(r, fc, lo, fs, n)
@@ -83,7 +83,7 @@ func TestEnvelopeGridMatchesAtOracle(t *testing.T) {
 		t0 := r.t0 - 10*r.tStep
 		n := int(float64(len(r.ch0)+20) * r.tStep * fs)
 		got := make([]complex128, n)
-		r.EnvelopeGridInto(fc, t0, fs, got)
+		r.EnvelopeGridInto(fc, t0, 4, got)
 		want := envelopeOracle(r, fc, t0, fs, n)
 		clamped := 0
 		for i := range got {
@@ -101,20 +101,17 @@ func TestEnvelopeGridMatchesAtOracle(t *testing.T) {
 		}
 	})
 
-	t.Run("incommensurate", func(t *testing.T) {
-		lo, hi := r.ValidRange()
-		fs := 3.5 * r.kern.band.B
-		if r.gridFor(lo, fs) != nil {
-			t.Fatal("3.5x grid built tables")
-		}
-		n := int((hi - lo) * fs)
-		got := make([]complex128, n)
-		r.EnvelopeGridInto(fc, lo, fs, got)
-		want := envelopeOracle(r, fc, lo, fs, n)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("i=%d: %v != At oracle %v", i, got[i], want[i])
-			}
+	t.Run("rejects over below 1", func(t *testing.T) {
+		lo, _ := r.ValidRange()
+		for _, over := range []int{0, -4} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("over=%d: no panic", over)
+					}
+				}()
+				r.EnvelopeGridInto(fc, lo, over, make([]complex128, 8))
+			}()
 		}
 	})
 }
@@ -128,14 +125,14 @@ func TestEnvelopeGridRebuildsAfterRetune(t *testing.T) {
 	lo, hi := r.ValidRange()
 	fs := 4 * band.B
 	n := int((hi - lo) * fs)
-	r.EnvelopeGridInto(band.Fc(), lo, fs, make([]complex128, n))
+	r.EnvelopeGridInto(band.Fc(), lo, 4, make([]complex128, n))
 	stale := r.grid.Load()
 	for _, d := range []float64{150e-12, 240e-12} {
 		if err := r.Retune(d); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]complex128, n)
-		r.EnvelopeGridInto(band.Fc(), lo, fs, got)
+		r.EnvelopeGridInto(band.Fc(), lo, 4, got)
 		if g := r.grid.Load(); g == stale || g.d != d {
 			t.Fatalf("d=%g: grid tables not rebuilt after Retune", d)
 		}
@@ -145,7 +142,7 @@ func TestEnvelopeGridRebuildsAfterRetune(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]complex128, n)
-		fresh.EnvelopeGridInto(band.Fc(), lo, fs, want)
+		fresh.EnvelopeGridInto(band.Fc(), lo, 4, want)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("d=%g i=%d: retuned %v != fresh %v", d, i, got[i], want[i])

@@ -345,7 +345,7 @@ func TestReconstructorEnvelopeDownconversion(t *testing.T) {
 		ts[i] = lo + float64(i)/fs
 	}
 	env := make([]complex128, len(ts))
-	r.EnvelopeGridInto(b.Fc(), lo, fs, env)
+	r.EnvelopeGridInto(b.Fc(), lo, 4, env)
 	// Windowed DTFT of the envelope: the desired complex tone sits at +fb
 	// with amplitude ~1; the 2fc image aliases far out of band.
 	phasor := func(f float64) float64 {

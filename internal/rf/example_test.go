@@ -27,22 +27,3 @@ func ExampleNewTransmitter() {
 	// carrier: 1e+09
 	// IRR: 28.2 dB
 }
-
-// The P1dB compression point of a Rapp PA.
-func ExampleInputP1dB() {
-	pa, _ := rf.NewRappPA(10, 1, 2)
-	p1 := rf.InputP1dB(pa)
-	fmt.Println("compresses:", p1 > 0)
-	// Output: compresses: true
-}
-
-// Two-tone intermodulation on a third-order nonlinearity.
-func ExampleTwoToneTest() {
-	pa := &rf.PolyPA{A1: 1, A3: complex(-0.01, 0)}
-	res, err := rf.TwoToneTest(rf.PAChain(pa), 1e6, 1.3e6, 0.5, 20e6, 4096)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("IMD3 within 3 dB of 52 dBc:", res.IMD3dBc > 49 && res.IMD3dBc < 55)
-	// Output: IMD3 within 3 dB of 52 dBc: true
-}

@@ -1,10 +1,8 @@
 package rf
 
 import (
-	"fmt"
 	"math"
 
-	"repro/internal/dsp"
 	"repro/internal/sig"
 )
 
@@ -19,30 +17,6 @@ import (
 type AnalogFIR struct {
 	Taps []float64
 	Dt   float64
-}
-
-// NewAnalogLowpass designs a continuous lowpass with -6 dB cutoff fc (Hz)
-// realised as an FIR with tap spacing dt = 1/fsTap and attenuation attenDB.
-func NewAnalogLowpass(fc, fsTap, attenDB float64) (*AnalogFIR, error) {
-	if fc <= 0 || fsTap <= 0 {
-		return nil, fmt.Errorf("rf: analog lowpass needs positive fc/fsTap, got %g/%g", fc, fsTap)
-	}
-	cutoff := fc / fsTap
-	if cutoff >= 0.5 {
-		return nil, fmt.Errorf("rf: analog lowpass cutoff %g Hz not below fsTap/2 = %g", fc, fsTap/2)
-	}
-	beta := dsp.KaiserBeta(attenDB)
-	// Transition width: a quarter of the cutoff, bounded for sanity.
-	tw := cutoff / 4
-	if tw < 0.01 {
-		tw = 0.01
-	}
-	n := dsp.KaiserOrder(attenDB, tw) | 1 // odd length for integer group delay
-	f, err := dsp.DesignLowpass(n, cutoff, dsp.KaiserWin, beta)
-	if err != nil {
-		return nil, err
-	}
-	return &AnalogFIR{Taps: f.Taps, Dt: 1 / fsTap}, nil
 }
 
 // GroupDelay returns the filter delay in seconds.
@@ -64,19 +38,6 @@ func (f *AnalogFIR) ApplyEnv(env sig.Envelope) sig.Envelope {
 		}
 		return acc
 	})
-}
-
-// ResponseAt returns the filter's magnitude response (linear) at frequency
-// f Hz.
-func (f *AnalogFIR) ResponseAt(freq float64) float64 {
-	var re, im float64
-	for k, h := range f.Taps {
-		phi := -2 * math.Pi * freq * float64(k) * f.Dt
-		s, c := math.Sincos(phi)
-		re += h * c
-		im += h * s
-	}
-	return math.Hypot(re, im)
 }
 
 // ZOH models the zero-order hold of a DAC running at rate Fs: the envelope

@@ -10,7 +10,7 @@ import (
 )
 
 func TestPerfectModulatorIsIdentity(t *testing.T) {
-	q := Perfect()
+	q := &IQImbalance{GainRatio: 1}
 	if q.Alpha() != 1 || q.Beta() != 0 {
 		t.Errorf("alpha %v beta %v", q.Alpha(), q.Beta())
 	}

@@ -143,37 +143,3 @@ func ApplyPA(p PA, env sig.Envelope) sig.Envelope {
 	}
 	return sig.EnvelopeFunc(func(t float64) complex128 { return p.Apply(env.At(t)) })
 }
-
-// GainAt returns the power gain (output/input, linear) of the PA at input
-// amplitude r.
-func GainAt(p PA, r float64) float64 {
-	if r <= 0 {
-		return 0
-	}
-	out := cmplx.Abs(p.Apply(complex(r, 0)))
-	return (out / r) * (out / r)
-}
-
-// InputP1dB searches for the input amplitude at which the PA gain has
-// compressed by 1 dB from its small-signal value. It returns 0 when the
-// model never compresses within the searched range.
-func InputP1dB(p PA) float64 {
-	small := GainAt(p, 1e-6)
-	if small <= 0 {
-		return 0
-	}
-	target := small * math.Pow(10, -0.1) // -1 dB
-	lo, hi := 1e-6, 1e6
-	if GainAt(p, hi) > target {
-		return 0
-	}
-	for i := 0; i < 200; i++ {
-		mid := math.Sqrt(lo * hi)
-		if GainAt(p, mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return math.Sqrt(lo * hi)
-}

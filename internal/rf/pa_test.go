@@ -106,28 +106,6 @@ func TestPolyPAThirdOrder(t *testing.T) {
 	}
 }
 
-func TestInputP1dB(t *testing.T) {
-	p, _ := NewRappPA(10, 1, 2)
-	r1 := InputP1dB(p)
-	if r1 <= 0 {
-		t.Fatal("no compression point found")
-	}
-	// At the returned amplitude the gain must be 1 dB below small signal.
-	gSmall := GainAt(p, 1e-6)
-	gAt := GainAt(p, r1)
-	dB := 10 * math.Log10(gSmall/gAt)
-	if math.Abs(dB-1) > 0.01 {
-		t.Errorf("compression at P1dB point = %g dB", dB)
-	}
-	// A linear PA never compresses.
-	if InputP1dB(&LinearPA{Gain: 3}) != 0 {
-		t.Error("linear PA should report no P1dB")
-	}
-	if GainAt(p, 0) != 0 {
-		t.Error("GainAt(0)")
-	}
-}
-
 func TestApplyPAOnEnvelope(t *testing.T) {
 	p, _ := NewRappPA(2, 1, 2)
 	env := sig.EnvelopeFunc(func(t float64) complex128 { return complex(t, 0) })

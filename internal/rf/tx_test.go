@@ -6,42 +6,26 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/sig"
 )
 
-func TestAnalogLowpassDesignAndResponse(t *testing.T) {
-	f, err := NewAnalogLowpass(20e6, 200e6, 60)
+// kaiserLowpass realises a lowpass with -6 dB cutoff fc as an AnalogFIR with
+// tap spacing 1/fsTap: a Kaiser design whose odd length meets attenDB over a
+// transition width of a quarter of the cutoff.
+func kaiserLowpass(t *testing.T, fc, fsTap, attenDB float64) *AnalogFIR {
+	t.Helper()
+	cutoff := fc / fsTap
+	n := int(math.Ceil((attenDB-7.95)/(2.285*2*math.Pi*cutoff/4))) | 1
+	f, err := dsp.DesignLowpass(n, cutoff, dsp.KaiserWin, dsp.KaiserBeta(attenDB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := f.ResponseAt(0); math.Abs(g-1) > 1e-6 {
-		t.Errorf("DC gain %g", g)
-	}
-	if g := f.ResponseAt(5e6); math.Abs(g-1) > 0.05 {
-		t.Errorf("passband gain %g", g)
-	}
-	if g := f.ResponseAt(60e6); g > 0.01 {
-		t.Errorf("stopband gain %g", g)
-	}
-	if f.GroupDelay() <= 0 {
-		t.Error("group delay")
-	}
-}
-
-func TestAnalogLowpassValidation(t *testing.T) {
-	if _, err := NewAnalogLowpass(0, 1e6, 60); err == nil {
-		t.Error("fc=0 must fail")
-	}
-	if _, err := NewAnalogLowpass(1e6, 0, 60); err == nil {
-		t.Error("fsTap=0 must fail")
-	}
-	if _, err := NewAnalogLowpass(1e6, 1.5e6, 60); err == nil {
-		t.Error("cutoff above Nyquist must fail")
-	}
+	return &AnalogFIR{Taps: f.Taps, Dt: 1 / fsTap}
 }
 
 func TestAnalogFIRPassesSlowToneAligned(t *testing.T) {
-	f, _ := NewAnalogLowpass(20e6, 200e6, 60)
+	f := kaiserLowpass(t, 20e6, 200e6, 60)
 	tone := &sig.ComplexTone{Amp: 1, Freq: 2e6}
 	out := f.ApplyEnv(tone)
 	// Group-delay compensation keeps the output phase-aligned.
@@ -67,7 +51,7 @@ func TestZOHHoldsValue(t *testing.T) {
 func TestTransmitterComposition(t *testing.T) {
 	pa, _ := NewRappPA(1, 10, 2)
 	pn, _ := NewPhaseNoise([]float64{1e4, 1e6}, []float64{-100, -130}, 32, 1)
-	lp, _ := NewAnalogLowpass(30e6, 400e6, 50)
+	lp := kaiserLowpass(t, 30e6, 400e6, 50)
 	cfg := TxConfig{
 		Fc:          1e9,
 		DAC:         &ZOH{Fs: 200e6},

@@ -103,41 +103,14 @@ func (s EnvSum) At(t float64) complex128 {
 	return v
 }
 
-// Scale multiplies a signal by a constant gain.
-func Scale(x Signal, gain float64) Signal {
-	return SignalFunc(func(t float64) float64 { return gain * x.At(t) })
-}
-
 // ScaleEnv multiplies an envelope by a complex gain.
 func ScaleEnv(x Envelope, gain complex128) Envelope {
 	return EnvelopeFunc(func(t float64) complex128 { return gain * x.At(t) })
 }
 
-// Delay shifts a signal later in time by tau seconds.
-func Delay(x Signal, tau float64) Signal {
-	return SignalFunc(func(t float64) float64 { return x.At(t - tau) })
-}
-
-// DelayEnv shifts an envelope later in time by tau seconds.
-func DelayEnv(x Envelope, tau float64) Envelope {
-	return EnvelopeFunc(func(t float64) complex128 { return x.At(t - tau) })
-}
-
-// Zero is the all-zero signal.
-var Zero Signal = SignalFunc(func(float64) float64 { return 0 })
-
 // SampleAt evaluates a signal at each time in ts.
 func SampleAt(x Signal, ts []float64) []float64 {
 	out := make([]float64, len(ts))
-	for i, t := range ts {
-		out[i] = x.At(t)
-	}
-	return out
-}
-
-// SampleEnvAt evaluates an envelope at each time in ts.
-func SampleEnvAt(x Envelope, ts []float64) []complex128 {
-	out := make([]complex128, len(ts))
 	for i, t := range ts {
 		out[i] = x.At(t)
 	}
@@ -179,6 +152,3 @@ func (c *Chirp) At(t float64) float64 {
 	ph := 2*math.Pi*(c.F0*t+0.5*c.Slope*t*t) + c.Phase
 	return c.Amp * math.Cos(ph)
 }
-
-// InstFreq returns the instantaneous frequency at t.
-func (c *Chirp) InstFreq(t float64) float64 { return c.F0 + c.Slope*t }

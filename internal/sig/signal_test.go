@@ -65,15 +65,6 @@ func TestCombinators(t *testing.T) {
 	if math.Abs(sum.At(tv)-(a.At(tv)+b.At(tv))) > 1e-12 {
 		t.Error("Sum")
 	}
-	if math.Abs(Scale(a, 3).At(tv)-3*a.At(tv)) > 1e-12 {
-		t.Error("Scale")
-	}
-	if math.Abs(Delay(a, 1e-7).At(tv)-a.At(tv-1e-7)) > 1e-12 {
-		t.Error("Delay")
-	}
-	if Zero.At(tv) != 0 {
-		t.Error("Zero")
-	}
 	ea := &ComplexTone{Amp: 1, Freq: 1e6}
 	eb := &ComplexTone{Amp: 2, Freq: -3e6}
 	es := EnvSum{ea, eb}
@@ -82,9 +73,6 @@ func TestCombinators(t *testing.T) {
 	}
 	if v := ScaleEnv(ea, 2i).At(tv) - 2i*ea.At(tv); v != 0 {
 		t.Error("ScaleEnv")
-	}
-	if v := DelayEnv(ea, 1e-7).At(tv) - ea.At(tv-1e-7); v != 0 {
-		t.Error("DelayEnv")
 	}
 }
 
@@ -98,13 +86,6 @@ func TestSampleHelpers(t *testing.T) {
 	for i := range ts {
 		if xs[i] != a.At(ts[i]) {
 			t.Error("SampleAt mismatch")
-		}
-	}
-	env := &ComplexTone{Amp: 1, Freq: 1e6}
-	es := SampleEnvAt(env, ts)
-	for i := range ts {
-		if es[i] != env.At(ts[i]) {
-			t.Error("SampleEnvAt mismatch")
 		}
 	}
 }
@@ -144,9 +125,6 @@ func TestSignalFuncAdapters(t *testing.T) {
 
 func TestChirpInstantaneousFrequency(t *testing.T) {
 	c := &Chirp{Amp: 1, F0: 1e6, Slope: 1e12}
-	if c.InstFreq(0) != 1e6 || c.InstFreq(1e-6) != 2e6 {
-		t.Error("InstFreq")
-	}
 	// Zero crossing spacing shrinks as the chirp accelerates: count sign
 	// changes in two equal windows.
 	count := func(t0, t1 float64) int {

@@ -9,12 +9,17 @@ package testkit
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // Non-finite floats have no JSON literal; they are encoded as these string
@@ -40,6 +45,23 @@ func MarshalCanonical(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// UnmarshalStrict decodes exactly one JSON value from data into v, the
+// inverse the parsers of outside bytes pair with MarshalCanonical. Unknown
+// object fields are errors, and so is anything but whitespace after the
+// value. The end is checked with Decoder.Token, not Decoder.More: More
+// reports false when the next byte is '}' or ']', so `{"A":1}}` would pass.
+func UnmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data")
+	}
+	return nil
+}
+
 // FormatFloat renders a float the way the canonical encoder does: shortest
 // decimal that round-trips through float64, or a sentinel for non-finite
 // values.
@@ -53,6 +75,46 @@ func FormatFloat(f float64) string {
 		return sentinelNegInf
 	}
 	return strconv.FormatFloat(f, 'g', -1, 64)
+}
+
+// quote writes s as a JSON string literal. Wherever strconv.Quote writes
+// valid JSON it writes the same bytes: printable runes as they are, '"',
+// '\\' and \b \f \n \r \t as short escapes, other runes below U+10000 as
+// \u escapes. strconv.Quote's remaining forms are not JSON (\a, \v, \x7f,
+// \U0001f600, \xff for an invalid byte), so there control characters and DEL
+// become \u escapes too, a rune above U+FFFF that is not printable becomes
+// a surrogate pair, and an invalid UTF-8 byte becomes \ufffd.
+func quote(buf *bytes.Buffer, s string) {
+	buf.WriteByte('"')
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		i += size
+		switch {
+		case r == '"' || r == '\\':
+			buf.WriteByte('\\')
+			buf.WriteByte(byte(r))
+		case r == '\b':
+			buf.WriteString(`\b`)
+		case r == '\f':
+			buf.WriteString(`\f`)
+		case r == '\n':
+			buf.WriteString(`\n`)
+		case r == '\r':
+			buf.WriteString(`\r`)
+		case r == '\t':
+			buf.WriteString(`\t`)
+		case r == utf8.RuneError && size == 1:
+			buf.WriteString(`\ufffd`)
+		case strconv.IsPrint(r):
+			buf.WriteString(s[i-size : i])
+		case r < 0x10000:
+			fmt.Fprintf(buf, `\u%04x`, r)
+		default:
+			hi, lo := utf16.EncodeRune(r)
+			fmt.Fprintf(buf, `\u%04x\u%04x`, hi, lo)
+		}
+	}
+	buf.WriteByte('"')
 }
 
 func indent(buf *bytes.Buffer, depth int) {
@@ -95,7 +157,7 @@ func encodeValue(buf *bytes.Buffer, v reflect.Value, depth int) error {
 		buf.WriteString(FormatFloat(imag(c)))
 		buf.WriteString("]")
 	case reflect.String:
-		buf.WriteString(strconv.Quote(v.String()))
+		quote(buf, v.String())
 	case reflect.Slice:
 		if v.IsNil() {
 			buf.WriteString("null")
@@ -184,7 +246,7 @@ func encodeMap(buf *bytes.Buffer, v reflect.Value, depth int) error {
 	buf.WriteString("{\n")
 	for i, p := range pairs {
 		indent(buf, depth+1)
-		buf.WriteString(strconv.Quote(p.label))
+		quote(buf, p.label)
 		buf.WriteString(": ")
 		if err := encodeValue(buf, v.MapIndex(p.key), depth+1); err != nil {
 			return err
@@ -237,7 +299,7 @@ func encodeStruct(buf *bytes.Buffer, v reflect.Value, depth int) error {
 	buf.WriteString("{\n")
 	for i, f := range fields {
 		indent(buf, depth+1)
-		buf.WriteString(strconv.Quote(f.name))
+		quote(buf, f.name)
 		buf.WriteString(": ")
 		if err := encodeValue(buf, f.val, depth+1); err != nil {
 			return err

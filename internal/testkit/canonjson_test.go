@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -124,4 +125,31 @@ func TestMarshalCanonicalRejectsUnsupported(t *testing.T) {
 	if _, err := MarshalCanonical(map[float64]int{1.5: 1}); err == nil {
 		t.Error("float map key must be rejected")
 	}
+}
+
+// FuzzCanonicalString: every string encodes to a JSON literal that
+// encoding/json decodes back to the string (an invalid UTF-8 byte to
+// U+FFFD), and to exactly strconv.Quote's bytes wherever those are already
+// valid JSON, so committed canonical files keep their bytes.
+func FuzzCanonicalString(f *testing.F) {
+	for _, s := range []string{"", "plain", "a\"b\\c", "tab\tnl\n\b\f\r", "\x7f", "\a\v\x00\x1f",
+		"π·—≤", "\u00ad\u2028", "\U0001f600", "\U000e0001", "\xff\xfe", "<&>", "\ufffd"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b, err := MarshalCanonical(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back string
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("%q encodes to invalid JSON %s: %v", s, b, err)
+		}
+		if want := string([]rune(s)); back != want {
+			t.Fatalf("%q decodes back as %q, want %q", s, back, want)
+		}
+		if q := strconv.Quote(s); json.Valid([]byte(q)) && string(b) != q+"\n" {
+			t.Fatalf("%q encodes as %s, strconv.Quote as %s", s, b, q)
+		}
+	})
 }

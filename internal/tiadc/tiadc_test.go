@@ -96,7 +96,7 @@ func TestCaptureAppliesDCDEBias(t *testing.T) {
 
 func TestCaptureValidation(t *testing.T) {
 	ti, _ := New(Config{DCDE: DCDE{Min: 0, Max: 1e-9}})
-	x := sig.Zero
+	x := sig.SignalFunc(func(float64) float64 { return 0 })
 	if _, err := ti.Capture(x, 0, 1e-10, 0, 4); err == nil {
 		t.Error("zero period must fail")
 	}
